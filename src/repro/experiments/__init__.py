@@ -6,8 +6,9 @@ print the corresponding rows/series.  Results are cached per
 (workload, scale, config, prefetcher, seed) in-process *and* in a
 content-addressed on-disk store (see docs/SWEEP_CACHE.md), so figures
 sharing runs pay for each simulation once — across processes, not just
-within one.  ``repro.experiments.sweep`` fans independent points out
-over a process pool.
+within one.  ``repro.experiments.sweep`` runs independent points,
+in-process or over forked workers, through the one supervisor loop in
+``repro.experiments.service``.
 """
 
 from repro.experiments.runner import (
@@ -27,7 +28,6 @@ from repro.experiments.errors import (
     ExperimentError,
     PointFailure,
     PointTimeoutError,
-    ShardDiedError,
     SweepInterrupted,
     TransientError,
     WorkerCrashError,
@@ -97,7 +97,6 @@ __all__ = [
     "PointTimeoutError",
     "CorruptArtifactError",
     "DiskFullError",
-    "ShardDiedError",
     "SweepInterrupted",
     "PointFailure",
     "Fault",

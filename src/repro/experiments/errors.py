@@ -24,10 +24,6 @@ be handled.  The hierarchy encodes the policy:
     The cache *refused* a write because the volume is nearly full —
     better no entry than a torn one fighting ENOSPC.  Reported through
     the same listener channel, never raised to the caller.
-``ShardDiedError``
-    A whole shard pool (not one point) died or stalled; the service's
-    watchdog requeues its in-flight units and restarts or retires the
-    pool — see :mod:`repro.experiments.service`.
 ``SweepInterrupted``
     A graceful shutdown (SIGINT/SIGTERM or an explicit stop request)
     drained the scheduler mid-run.  Carries the partial
@@ -64,7 +60,6 @@ __all__ = [
     "PointTimeoutError",
     "CorruptArtifactError",
     "DiskFullError",
-    "ShardDiedError",
     "SweepInterrupted",
     "PointFailure",
     "InvalidConfigError",
@@ -137,17 +132,6 @@ class DiskFullError(CorruptArtifactError):
         super().__init__(path, reason)
         self.free_bytes = free_bytes
         self.needed_bytes = needed_bytes
-
-
-class ShardDiedError(ExperimentError):
-    """A shard pool (a whole supervision loop, not one point) died or
-    stalled past the watchdog timeout.  The service requeues the
-    shard's in-flight units and restarts or retires the pool; only when
-    no pool can be kept alive does this escape to the caller."""
-
-    def __init__(self, message: str, shard: Optional[int] = None):
-        super().__init__(message)
-        self.shard = shard
 
 
 class SweepInterrupted(ExperimentError):

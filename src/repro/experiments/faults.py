@@ -11,13 +11,15 @@ Fault kinds
 -----------
 
 ``crash``
-    Worker process exits hard (``os._exit``) before producing a
-    result; in serial sweeps, raises
-    :class:`~repro.experiments.errors.WorkerCrashError` instead.
+    Worker process exits hard (``os._exit``) with
+    :data:`CRASH_EXIT_CODE` before producing a result; in-process
+    (``jobs == 1``) sweeps report the same crash outcome without
+    exiting, so both map to
+    :class:`~repro.experiments.errors.WorkerCrashError`.
 ``hang``
     Worker sleeps ``seconds`` before running the point, tripping the
-    sweep's ``point_timeout``; in serial sweeps (where no supervisor
-    can terminate the point) it is mapped directly to
+    sweep's ``point_timeout``; in-process sweeps (where nothing can
+    terminate the point) map it directly to
     :class:`~repro.experiments.errors.PointTimeoutError`.
 ``error``
     Raises a plain :class:`~repro.experiments.errors.TransientError`
@@ -26,15 +28,8 @@ Fault kinds
     After the point completes and persists its result, its on-disk
     cache entry is truncated / has one byte flipped — exercising the
     checksum-and-quarantine path on the next read.
-``shard_kill``
-    Scheduler-layer: the shard pool whose index is ``point`` raises
-    :class:`~repro.experiments.errors.ShardDiedError` when it claims
-    its ``after``-th work unit, exercising the service watchdog
-    (requeue + pool restart / width shrink).  ``times`` bounds how
-    many pool *incarnations* die (``times=1`` = the restarted pool
-    survives).
 ``parent_signal``
-    Scheduler-layer: when the service has resolved ``point`` terminal
+    Scheduler-layer: when the sweep has resolved ``point`` terminal
     outcomes in this process, ``signum`` (default SIGTERM) is sent to
     the parent itself — deterministic mid-run interruption for the
     graceful-shutdown and resume paths.
@@ -45,10 +40,10 @@ Fault kinds
 
 Targeting: for point-level kinds ``point`` matches either the point's
 input index or its ``workload/prefetcher`` label; for the scheduler/
-journal kinds above it is a shard index, a resolved-outcome count, or
-a segment number.  ``times`` bounds how many *attempts* (or pool
-incarnations) are affected (``times=1`` = fail once, succeed on
-retry; omitted = every attempt, a persistent fault).
+journal kinds above it is a resolved-outcome count or a segment
+number.  ``times`` bounds how many *attempts* are affected
+(``times=1`` = fail once, succeed on retry; omitted = every attempt,
+a persistent fault).
 
 Activation: pass ``sweep(..., fault_plan=FaultPlan(...))``, or set
 ``REPRO_FAULT_PLAN`` to inline JSON (``{"faults": [...]}``) or to the
@@ -68,7 +63,7 @@ from repro.experiments.errors import FaultPlanError
 
 __all__ = [
     "CRASH", "HANG", "ERROR", "TRUNCATE", "BITFLIP",
-    "SHARD_KILL", "PARENT_SIGNAL", "TORN_JOURNAL",
+    "PARENT_SIGNAL", "TORN_JOURNAL",
     "EXEC_KINDS", "CACHE_KINDS", "SCHED_KINDS", "JOURNAL_KINDS",
     "CRASH_EXIT_CODE", "ENV_PLAN",
     "Fault", "FaultPlan", "corrupt_file", "corrupt_cache_entry",
@@ -79,7 +74,6 @@ HANG = "hang"
 ERROR = "error"
 TRUNCATE = "truncate"
 BITFLIP = "bitflip"
-SHARD_KILL = "shard_kill"
 PARENT_SIGNAL = "parent_signal"
 TORN_JOURNAL = "torn_journal"
 
@@ -87,8 +81,8 @@ TORN_JOURNAL = "torn_journal"
 EXEC_KINDS = frozenset((CRASH, HANG, ERROR))
 #: Faults applied to the point's persisted cache entry afterwards.
 CACHE_KINDS = frozenset((TRUNCATE, BITFLIP))
-#: Scheduler-layer faults (shard pools / the parent process itself).
-SCHED_KINDS = frozenset((SHARD_KILL, PARENT_SIGNAL))
+#: Scheduler-layer faults (the parent process itself).
+SCHED_KINDS = frozenset((PARENT_SIGNAL,))
 #: Run-journal faults (torn segment tails).
 JOURNAL_KINDS = frozenset((TORN_JOURNAL,))
 
@@ -113,9 +107,6 @@ class Fault:
     seconds: float = 30.0
     #: ``bitflip`` only: byte offset (modulo file size) to flip.
     offset: int = 0
-    #: ``shard_kill`` only: the pool dies when it claims its
-    #: ``after``-th work unit of one incarnation.
-    after: int = 1
     #: ``parent_signal`` only: the signal number to send (SIGTERM).
     signum: int = 15
 
@@ -129,10 +120,8 @@ class Fault:
                 and not isinstance(self.point, int):
             raise FaultPlanError(
                 f"{self.kind} faults target an integer "
-                f"(shard index / outcome count / segment number), "
+                f"(outcome count / segment number), "
                 f"got {self.point!r}")
-        if self.after < 1:
-            raise FaultPlanError("after must be >= 1")
 
     def matches(self, index: int, label: str, attempt: int) -> bool:
         if self.point != index and self.point != label:
@@ -147,15 +136,12 @@ class Fault:
             spec["seconds"] = self.seconds
         if self.kind == BITFLIP:
             spec["offset"] = self.offset
-        if self.kind == SHARD_KILL:
-            spec["after"] = self.after
         if self.kind == PARENT_SIGNAL:
             spec["signum"] = self.signum
         return spec
 
 
-_SPEC_KEYS = {"kind", "point", "times", "seconds", "offset", "after",
-              "signum"}
+_SPEC_KEYS = {"kind", "point", "times", "seconds", "offset", "signum"}
 
 
 class FaultPlan:
@@ -229,19 +215,6 @@ class FaultPlan:
         for fault in self.faults:
             if fault.kind in EXEC_KINDS and \
                     fault.matches(index, label, attempt):
-                return fault
-        return None
-
-    def shard_fault(self, shard: int, claimed: int,
-                    incarnation: int) -> Optional[Fault]:
-        """The matching ``shard_kill`` fault when pool ``shard``
-        (running its ``incarnation``-th life, 1-based) claims its
-        ``claimed``-th unit, else None."""
-        for fault in self.faults:
-            if fault.kind == SHARD_KILL and fault.point == shard \
-                    and claimed == fault.after \
-                    and (fault.times is None
-                         or incarnation <= fault.times):
                 return fault
         return None
 

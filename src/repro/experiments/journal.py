@@ -1,8 +1,8 @@
 """Crash-consistent run journal: durable identity + resume for sweeps.
 
-PR 4 made individual *points* fault-tolerant and the service made
-scheduling sharded, but a SIGKILL, OOM, or Ctrl-C anywhere in the
-parent used to lose the whole run.  This module gives a sweep a
+Individual *points* are fault-tolerant (worker isolation, retries),
+but without a journal a SIGKILL, OOM, or Ctrl-C anywhere in the
+parent would lose the whole run.  This module gives a sweep a
 durable identity on disk — a **run directory** of fsync'd,
 seq-numbered JSONL event segments plus a ``meta.json`` — and a resume
 path that replays journal + disk cache to skip completed points,
@@ -20,7 +20,7 @@ The run root defaults to ``<cache root>/runs`` (so ``REPRO_CACHE_DIR``
 redirects journal and cache together — resume *requires* the cache,
 which holds the actual results) and can be pointed elsewhere with
 ``REPRO_RUN_DIR``.  The directory name's fingerprint is a SHA-256 over
-the grid's point *keys* only — service shape (shards, jobs) may change
+the grid's point *keys* only — the sweep's width (``jobs``) may change
 between segments, the grid may not.
 
 Crash-consistency contract (docs/RESILIENCE.md): a worker's cache
@@ -110,7 +110,7 @@ def runs_root() -> Path:
 def grid_fingerprint(points: Sequence[SweepPoint]) -> str:
     """SHA-256 over the ordered point keys — the run's grid identity.
 
-    Deliberately excludes service shape (shards, jobs, timeouts): a
+    Deliberately excludes the sweep settings (jobs, timeouts): a
     resume may reschedule the same grid differently; the results are
     keyed by the points alone.
     """

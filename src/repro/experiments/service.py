@@ -1,37 +1,33 @@
-"""Sharded sweep service: manifest-scale grids over multiple local
-worker pools, with a streaming JSONL progress protocol.
+"""The sweep supervisor: one synchronous loop that schedules every
+sweep, plus its JSONL progress-event protocol.
 
-:func:`repro.experiments.sweep.sweep` supervises one pool of per-point
-worker processes.  That is the right shape for a few hundred points on
-one box; the 10^3–10^5-point grids a
-:mod:`repro.experiments.manifest` can describe want a *service*: an
-async scheduler that shards points across several pools, survives
-mid-flight failures, and streams progress that a CLI, a dashboard, or
-a CI step can tail.
-
-Architecture::
+:func:`serve_sweep` is the single scheduler behind
+:func:`repro.experiments.sweep.sweep` and the journaled
+:func:`repro.experiments.journal.run_sweep` (and so behind every
+``repro sweep``).  It resolves warm points in the parent, then runs
+one poll loop (``_supervise``) over the rest::
 
     serve_sweep(points)
-      └─ _Scheduler           one queue of WorkUnits + retry deadlines
-           ├─ shard 0 ──┐     each shard: an asyncio task supervising
-           ├─ shard 1 ──┤     up to ``jobs`` live workers, pulling
-           └─ shard N ──┘     WorkUnits and pushing WorkOutcomes
+      ├─ cache hits, journal replays, poison points   (no scheduling)
+      └─ _supervise                                   one loop, no threads
+           jobs == 1:  each attempt runs in-process   (sweep._execute)
+           jobs >= 2:  one forked worker per attempt, (sweep._spawn /
+                       up to ``jobs`` at a time        sweep._reap)
 
-Every attempt of every point crosses the shard boundary as a
-:class:`WorkUnit` and comes back as a :class:`WorkOutcome` — both are
-flat, JSON-serializable records (``to_spec``/``from_spec``), so a
-*remote* worker pool is a transport change (serialize the same two
-messages over a socket/queue), not a scheduler change.  Local shards
-execute units through the exact per-point worker processes of the
-sweep engine (``sweep._spawn`` / ``sweep._reap``), so the PR-4 fault
-taxonomy, retry/backoff policy, point timeouts, and crash supervision
-apply unchanged, and results are bit-identical to a serial
-:func:`~repro.experiments.sweep.sweep` of the same points (asserted by
-tests/test_service.py).
+The only width is :attr:`ServiceConfig.jobs`.  The in-process path is
+the reference the forked path is checked against: results are
+bit-identical either way (tests/test_determinism.py,
+tests/test_service.py).  With ``jobs >= 2`` a crashed worker or one
+past ``point_timeout`` costs its point one attempt; every non-``ok``
+outcome goes through the one mapping
+:func:`repro.experiments.sweep._outcome_error` and the one retry
+decision in ``_supervise`` (deterministic backoff, ``max_retries``,
+``keep_going`` vs fail-fast).
 
 Progress events: every scheduling decision is emitted as one JSON
 object (``begin``, ``scheduled``, ``completed``, ``retried``,
-``failed``, ``end``) with a monotonic ``seq``.  :class:`JsonlEventLog`
+``failed``, ``poisoned``, ``end``) with a monotonic ``seq``;
+:data:`EVENT_SCHEMA` is the declarative layout.  :class:`JsonlEventLog`
 appends them to a file as JSON Lines; :func:`read_events` /
 :func:`summarize_events` consume the stream and check that every point
 is accounted for — the contract the CI ``manifest`` job enforces.
@@ -42,39 +38,29 @@ Event emission can never fail a sweep: sink exceptions are swallowed.
 
 Run-level self-healing (docs/RESILIENCE.md):
 
-* **Graceful shutdown** — pass ``handle_signals=True`` (or an explicit
-  :class:`ShutdownRequest`) and SIGINT/SIGTERM stop the scheduler:
-  in-flight workers are reaped, completed points are kept, the event
-  stream gets an ``end`` record with ``status="interrupted"``, and
+* **Graceful shutdown** — with ``handle_signals=True`` SIGINT/SIGTERM
+  request a :class:`ShutdownRequest` (callers may also pass and request
+  one themselves) and the loop stops: in-flight workers are reaped (an
+  in-process point finishes first), completed
+  points are kept, the event stream gets an ``end`` record with
+  ``status="interrupted"``, and
   :class:`~repro.experiments.errors.SweepInterrupted` carries the
   partial report out.
-* **Shard watchdogs** — shard loops emit throttled ``heartbeat``
-  events; the supervisor restarts a pool that died (or whose heartbeat
-  stalled past ``watchdog_timeout``), requeueing its in-flight units
-  (``requeued`` events, no retry budget burned).  A pool that keeps
-  dying past ``max_pool_restarts`` is *retired* — the run degrades to
-  fewer shards instead of failing — and only when no pool survives
-  does the shard error escape.
 * **Replay hooks** — ``preresolved`` results (journal-completed points
   recovered from the disk cache) enter the report without new events;
   ``poisoned`` failures (points that already exhausted retries in a
   previous run) are skipped-with-failure, emitting an informational
   ``poisoned`` event instead of re-burning their retry budget.
-
-``inline=True`` executes units on in-process worker threads instead of
-processes (no isolation, ``point_timeout`` unenforced — injected hangs
-map straight to timeout failures, like serial sweeps).  It exists for
-huge synthetic grids and tests, where forking 10^3 interpreters would
-dominate the run; the scheduler, retry policy, and event stream are
-identical.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
+import heapq
 import importlib
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -84,19 +70,13 @@ from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.cpu.stats import SimStats
-from repro.experiments import faults as faults_mod
 from repro.experiments import runner
 from repro.experiments.errors import (
     EventStreamError,
-    ExperimentError,
     InvalidConfigError,
     PointFailure,
-    PointTimeoutError,
-    ShardDiedError,
     SweepInterrupted,
     TransientError,
-    WorkerCrashError,
     backoff_delay,
 )
 from repro.experiments.faults import FaultPlan
@@ -117,18 +97,19 @@ sweep_mod = importlib.import_module("repro.experiments.sweep")
 
 __all__ = [
     "EVENT_SCHEMA", "EVENT_SCHEMA_VERSION",
-    "ServiceConfig", "WorkUnit", "WorkOutcome",
-    "JsonlEventLog", "ShutdownRequest", "serve_sweep", "read_events",
-    "follow_events", "summarize_events", "format_events_summary",
+    "ServiceConfig", "JsonlEventLog", "ShutdownRequest", "serve_sweep",
+    "read_events", "follow_events", "summarize_events",
+    "format_events_summary",
 ]
 
 #: Bump when the progress-event layout changes; consumers should check.
-#: v2 adds run-lifecycle events (``heartbeat``, ``requeued``,
-#: ``poisoned``, ``pool_restarted``, ``pool_retired``) and the
-#: ``status`` field on ``end`` records.
-EVENT_SCHEMA_VERSION = 2
+#: v3 drops the sharded scheduler's kinds (``heartbeat``, ``requeued``,
+#: ``pool_restarted``, ``pool_retired``) and the ``shard``/``shards``/
+#: ``inline`` payload keys; readers tally those v2 kinds under
+#: ``unknown``.
+EVENT_SCHEMA_VERSION = 3
 
-#: Declarative v2 event schema: kind -> required / optional payload
+#: Declarative v3 event schema: kind -> required / optional payload
 #: keys.  The :class:`_Emitter` envelope (``v``, ``seq``, ``event``)
 #: is implicit and not listed.  This table is the single source of
 #: truth the ``event-schema`` lint rule checks every ``emit(...)``
@@ -137,217 +118,73 @@ EVENT_SCHEMA_VERSION = 2
 EVENT_SCHEMA = {
     "begin": {
         "required": ("total", "cached", "preresolved", "poisoned",
-                     "shards", "jobs", "inline"),
+                     "jobs"),
         "optional": ("run_id", "segment"),
     },
     "scheduled": {
-        "required": ("index", "label", "attempt", "shard"),
-    },
-    "requeued": {
-        "required": ("index", "label", "attempt", "shard"),
+        "required": ("index", "label", "attempt"),
     },
     "completed": {
-        "required": ("index", "label", "attempt", "shard", "source",
-                     "seconds"),
+        "required": ("index", "label", "attempt", "source", "seconds"),
     },
     "retried": {
-        "required": ("index", "label", "attempt", "shard", "kind",
+        "required": ("index", "label", "attempt", "kind",
                      "next_attempt", "delay"),
     },
     "failed": {
-        "required": ("index", "label", "attempts", "shard", "kind",
-                     "message"),
+        "required": ("index", "label", "attempts", "kind", "message"),
     },
     "poisoned": {
         "required": ("index", "label", "kind", "attempts", "message"),
-    },
-    "heartbeat": {
-        "required": ("shard", "incarnation", "live", "outstanding"),
-    },
-    "pool_restarted": {
-        "required": ("shard", "incarnation", "requeued", "error"),
-    },
-    "pool_retired": {
-        "required": ("shard", "requeued", "remaining", "error"),
     },
     "end": {
         "required": ("status", "completed", "failed", "seconds"),
     },
 }
 
-#: Scheduler poll period while shards supervise live workers.
+#: Longest the supervisor blocks between polls (worker completions wake
+#: it sooner; retry deadlines and shutdown requests are checked at this
+#: period).
 _POLL_SECONDS = 0.01
 
 
 @dataclasses.dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of one service sweep (shape × resilience policy)."""
+    """Knobs of one sweep: width × resilience policy."""
 
-    #: Local worker pools ("shards"); each runs an independent
-    #: supervision loop over the shared queue.
-    shards: int = 2
-    #: Live worker processes (or inline threads) per shard.
+    #: Constructor-only and must be 1.  Kept so that callers written for
+    #: the removed multi-pool scheduler (``ServiceConfig(shards=1,
+    #: ...)``) keep constructing; it is not stored, journaled or
+    #: emitted.
+    shards: dataclasses.InitVar[int] = 1
+    #: 1 = run points in-process; N >= 2 = up to N forked workers, one
+    #: per attempt.
     jobs: int = 2
     max_retries: int = DEFAULT_MAX_RETRIES
+    #: Seconds before a forked worker is killed (needs ``jobs >= 2``).
     point_timeout: Optional[float] = None
     keep_going: bool = False
     backoff_base: float = DEFAULT_BACKOFF
     use_cache: bool = True
-    #: Execute units on in-process threads instead of worker processes
-    #: (tests / synthetic grids; no crash isolation or hang killing).
-    inline: bool = False
-    #: Minimum seconds between ``heartbeat`` events per shard (0
-    #: disables heartbeat emission; liveness tracking still runs).
-    heartbeat_interval: float = 5.0
-    #: Supervisor declares a shard stalled when its heartbeat is older
-    #: than this many seconds (None disables stall detection; dead-task
-    #: detection is always on).
-    watchdog_timeout: Optional[float] = None
-    #: How many times one shard's pool may be restarted after dying
-    #: before the shard is retired (the run shrinks, it does not fail).
-    max_pool_restarts: int = 2
 
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise InvalidConfigError(
-                f"shards must be >= 1, got {self.shards}")
+    def __post_init__(self, shards: int) -> None:
+        problems = []
+        if shards != 1:
+            problems.append(f"shards must be 1 (jobs is the only "
+                            f"width), got {shards}")
         if self.jobs < 1:
-            raise InvalidConfigError(
-                f"jobs must be >= 1, got {self.jobs}")
-        if self.max_pool_restarts < 0:
-            raise InvalidConfigError(
-                f"max_pool_restarts must be >= 0, "
-                f"got {self.max_pool_restarts}")
-
-
-# ----------------------------------------------------------------------
-# The queue/result protocol
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class WorkUnit:
-    """One attempt of one point, as it crosses a worker-pool boundary."""
-
-    index: int
-    attempt: int
-    point: SweepPoint
-
-    def to_spec(self) -> dict:
-        return {"index": self.index, "attempt": self.attempt,
-                "point": dataclasses.asdict(self.point)}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "WorkUnit":
-        return cls(index=spec["index"], attempt=spec["attempt"],
-                   point=SweepPoint(**spec["point"]))
-
-
-#: Terminal ``WorkOutcome.status`` value.
-OK = "ok"
-#: Retryable statuses, mapped onto the PR-4 error taxonomy.
-_TRANSIENT_STATUSES = ("crash", "timeout", "transient")
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkOutcome:
-    """What a worker pool reports back for one :class:`WorkUnit`."""
-
-    index: int
-    attempt: int
-    #: ``ok`` | ``crash`` | ``timeout`` | ``transient`` | ``error``.
-    status: str
-    stats_state: Optional[dict] = None
-    miss_map: Optional[dict] = None
-    source: str = "sim"
-    seconds: float = 0.0
-    message: str = ""
-    exitcode: Optional[int] = None
-    timeout: Optional[float] = None
-
-    def to_spec(self) -> dict:
-        spec = dataclasses.asdict(self)
-        return {k: v for k, v in spec.items() if v not in (None, "")}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "WorkOutcome":
-        return cls(**spec)
-
-    def to_error(self, label: str) -> Exception:
-        """The taxonomy error for a non-``ok`` outcome (mirrors
-        ``sweep._outcome_error`` so retry policy cannot diverge)."""
-        if self.status == "crash":
-            return WorkerCrashError(
-                self.message or f"worker for {label} died "
-                                f"(exit code {self.exitcode})",
-                exitcode=self.exitcode)
-        if self.status == "timeout":
-            return PointTimeoutError(
-                self.message or f"{label} exceeded point timeout",
-                timeout=self.timeout)
-        if self.status == "transient":
-            return TransientError(self.message)
-        return ExperimentError(self.message)
-
-
-def _outcome_from_reap(unit: WorkUnit, message: Tuple,
-                       label: str) -> WorkOutcome:
-    """Convert a ``sweep._reap`` outcome tuple into the protocol form."""
-    kind = message[0]
-    if kind == "ok":
-        _, stats_state, miss_map, source, elapsed = message
-        return WorkOutcome(unit.index, unit.attempt, OK,
-                           stats_state=stats_state, miss_map=miss_map,
-                           source=source, seconds=elapsed)
-    if kind == "crash":
-        return WorkOutcome(
-            unit.index, unit.attempt, "crash", exitcode=message[1],
-            message=f"worker for {label} died (exit code {message[1]})")
-    if kind == "timeout":
-        return WorkOutcome(
-            unit.index, unit.attempt, "timeout", timeout=message[1],
-            message=f"{label} exceeded point timeout "
-                    f"({message[1]:.1f}s)")
-    if kind == "transient":
-        return WorkOutcome(unit.index, unit.attempt, "transient",
-                           message=message[1])
-    return WorkOutcome(unit.index, unit.attempt, "error",
-                       message=message[1])
-
-
-def _execute_inline(unit: WorkUnit, use_cache: bool,
-                    plan: Optional[FaultPlan]) -> WorkOutcome:
-    """Run one unit on the calling thread (the ``inline=True`` path).
-
-    Fault mapping matches the serial sweep: ``crash`` → a crash
-    outcome, ``hang`` → a timeout outcome (no supervisor can terminate
-    an in-process point), ``error`` → a transient outcome.
-    """
-    point, index, attempt = unit.point, unit.index, unit.attempt
-    if plan:
-        fault = plan.exec_fault(index, point.label, attempt)
-        if fault is not None:
-            if fault.kind == faults_mod.CRASH:
-                return WorkOutcome(
-                    index, attempt, "crash",
-                    message=f"injected crash at {point.label}")
-            if fault.kind == faults_mod.HANG:
-                return WorkOutcome(
-                    index, attempt, "timeout",
-                    message=f"injected hang at {point.label}")
-            return WorkOutcome(
-                index, attempt, "transient",
-                message=f"injected transient fault at {point.label}")
-    try:
-        stats, miss_map, source, elapsed = sweep_mod._run_serial(
-            point, use_cache)
-    except Exception as exc:
-        return WorkOutcome(index, attempt, "error",
-                           message=f"{type(exc).__name__}: {exc}")
-    if plan and use_cache:
-        plan.corrupt_cache_entries(index, point.label, attempt,
-                                   point.key())
-    return WorkOutcome(index, attempt, OK,
-                       stats_state=stats.state_dict(),
-                       miss_map=miss_map, source=source, seconds=elapsed)
+            problems.append(f"jobs must be >= 1, got {self.jobs}")
+        if self.max_retries < 0:
+            problems.append(
+                f"max_retries must be >= 0, got {self.max_retries}")
+        if self.point_timeout is not None and self.point_timeout <= 0:
+            problems.append(f"point_timeout must be > 0 (or unset), "
+                            f"got {self.point_timeout}")
+        if self.backoff_base < 0:
+            problems.append(
+                f"backoff_base must be >= 0, got {self.backoff_base}")
+        if problems:
+            raise InvalidConfigError("; ".join(problems))
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +347,8 @@ def summarize_events(events: Sequence[dict]) -> dict:
     record's status (``ok`` / ``failed`` / ``interrupted``, or None
     for a stream still missing its trailer).  ``unknown`` tallies
     event kinds outside :data:`EVENT_SCHEMA` (a newer writer's
-    stream): counted for visibility, never fatal.
+    stream, or a v2 journal's ``heartbeat``/``requeued``/``pool_*``
+    records): counted for visibility, never fatal.
     """
     total = None
     completed: Dict[int, dict] = {}
@@ -521,10 +359,6 @@ def summarize_events(events: Sequence[dict]) -> dict:
     retry_kinds: Dict[str, int] = {}
     sources: Dict[str, int] = {}
     scheduled = 0
-    requeued = 0
-    heartbeats = 0
-    pool_restarts = 0
-    pool_retired = 0
     segments = 0
     elapsed = None
     status = None
@@ -553,21 +387,14 @@ def summarize_events(events: Sequence[dict]) -> dict:
             retried += 1
             fk = event.get("kind", "transient")
             retry_kinds[fk] = retry_kinds.get(fk, 0) + 1
-        elif kind == "requeued":
-            requeued += 1
-        elif kind == "heartbeat":
-            heartbeats += 1
-        elif kind == "pool_restarted":
-            pool_restarts += 1
-        elif kind == "pool_retired":
-            pool_retired += 1
         elif kind == "end":
             elapsed = event.get("seconds")
             status = event.get("status", status)
         else:
-            # A kind this schema version does not know (a newer writer,
-            # or garbage): counted, never fatal — old readers must keep
-            # working on streams from newer services.
+            # A kind this schema version does not know (a newer
+            # writer, a v2 journal's scheduler records, or garbage):
+            # counted, never fatal — readers must keep working on
+            # streams from other schema versions.
             unknown[str(kind)] = unknown.get(str(kind), 0) + 1
     known = total if total is not None else (
         max(list(completed) + list(failed), default=-1) + 1)
@@ -583,10 +410,6 @@ def summarize_events(events: Sequence[dict]) -> dict:
         "scheduled": scheduled,
         "retried": retried,
         "retry_kinds": retry_kinds,
-        "requeued": requeued,
-        "heartbeats": heartbeats,
-        "pool_restarts": pool_restarts,
-        "pool_retired": pool_retired,
         "segments": segments,
         "status": status,
         "sources": sources,
@@ -621,17 +444,13 @@ def format_events_summary(summary: dict) -> str:
     if summary.get("poisoned"):
         lines.append(f"poisoned:  {len(summary['poisoned'])} "
                      f"(quarantined on resume: {summary['poisoned']})")
-    if summary.get("requeued"):
-        lines.append(f"requeued:  {summary['requeued']}")
     if summary.get("unknown"):
         lines.append(
             "unknown:   "
             + ", ".join(f"{v} {k}"
                         for k, v in sorted(summary["unknown"].items()))
-            + " (kinds from a newer schema version; ignored)")
-    if summary.get("pool_restarts") or summary.get("pool_retired"):
-        lines.append(f"pools:     {summary['pool_restarts']} "
-                     f"restarted, {summary['pool_retired']} retired")
+            + f" (kinds outside schema v{EVENT_SCHEMA_VERSION}; "
+              "ignored)")
     if summary["seconds"] is not None:
         lines.append(f"wall:      {summary['seconds']:.1f}s")
     for failure in summary["failures"]:
@@ -676,328 +495,173 @@ class ShutdownRequest:
 
 
 # ----------------------------------------------------------------------
-# Scheduler
+# The supervisor loop
 # ----------------------------------------------------------------------
-class _Scheduler:
-    """Single-threaded (event-loop-confined) queue + result bookkeeping
-    shared by every shard."""
+class _SweepState:
+    """Results, failures and progress lines of one sweep."""
 
-    def __init__(self, state: "sweep_mod._SweepState",
-                 pending: Sequence[int], config: ServiceConfig,
-                 emit: _Emitter, plan: Optional[FaultPlan] = None):
-        self.state = state
-        self.config = config
-        self.emit = emit
-        self.plan = plan
-        #: (ready_at, index, attempt) — retries re-enter with deadlines.
-        self.waiting: List[Tuple[float, int, int]] = [
-            (0.0, index, 1) for index in pending
-        ]
-        #: Points with no terminal outcome yet (waiting or in flight).
-        self.outstanding = set(pending)
-        #: Units claimed by each shard and not yet resolved — what the
-        #: watchdog requeues when the shard's pool dies.
-        self.in_flight: Dict[int, List[WorkUnit]] = {}
-        #: Last liveness timestamp per shard (monotonic clock).
-        self.heartbeats: Dict[int, float] = {}
-        #: Terminal outcomes resolved so far (parent-signal faults key
-        #: off this count).
-        self.resolved = 0
+    def __init__(self, points: List[SweepPoint],
+                 progress: Optional[ProgressFn], keep_going: bool):
+        self.points = points
+        self.total = len(points)
+        self.results: List[Optional[SweepResult]] = [None] * self.total
+        self.failures: Dict[int, PointFailure] = {}
+        self.progress = progress
+        self.keep_going = keep_going
+        self.done = 0
 
-    @property
-    def finished(self) -> bool:
-        return not self.outstanding
+    def _emit(self, label: str, tail: str) -> None:
+        self.done += 1
+        if self.progress is not None:
+            width = len(str(self.total))
+            self.progress(
+                f"[{self.done:>{width}}/{self.total}] {label:<28s} {tail}"
+            )
 
-    def next_ready(self, now: float,
-                   shard: int) -> Optional[WorkUnit]:
-        """Pop the next unit whose retry deadline has passed."""
-        if not self.waiting:
-            return None
-        self.waiting.sort()
-        if self.waiting[0][0] > now:
-            return None
-        _, index, attempt = self.waiting.pop(0)
-        unit = WorkUnit(index, attempt, self.state.points[index])
-        self.in_flight.setdefault(shard, []).append(unit)
-        self.emit("scheduled", index=index, label=unit.point.label,
-                  attempt=attempt, shard=shard)
-        return unit
+    def complete(self, index: int, result: SweepResult) -> None:
+        self.results[index] = result
+        self._emit(result.point.label,
+                   f"{result.source:<6s} {result.seconds:6.2f}s")
 
-    def requeue_shard(self, shard: int) -> int:
-        """Return a dead shard's claimed-but-unresolved units to the
-        queue, same attempt number (a pool death is not the point's
-        fault — no retry budget is burned)."""
-        units = self.in_flight.pop(shard, [])
-        now = time.monotonic()
-        for unit in units:
-            self.waiting.append((now, unit.index, unit.attempt))
-            self.emit("requeued", index=unit.index,
-                      label=unit.point.label, attempt=unit.attempt,
-                      shard=shard)
-        return len(units)
+    def fail(self, failure: PointFailure, poisoned: bool = False) -> None:
+        """Record a terminal failure; raises it under fail-fast."""
+        self.failures[failure.index] = failure
+        if poisoned:
+            tail = (f"FAIL   ({failure.kind}, poisoned — quarantined by "
+                    "run journal)")
+        else:
+            tail = (f"FAIL   ({failure.kind} after {failure.attempts} "
+                    "attempts)")
+        self._emit(failure.label, tail)
+        if not self.keep_going:
+            raise failure
 
-    def _terminal(self) -> None:
-        """Bookkeeping common to both terminal branches; fires any
-        matching injected parent signal."""
-        self.resolved += 1
-        if self.plan:
-            fault = self.plan.parent_signal_fault(self.resolved)
-            if fault is not None:
-                os.kill(os.getpid(), fault.signum)
-
-    def resolve(self, shard: int, unit: WorkUnit,
-                outcome: WorkOutcome) -> None:
-        """Apply one WorkOutcome: complete, retry, or fail the point.
-
-        Raises the terminal :class:`PointFailure` under fail-fast
-        (``keep_going=False``), exactly like the sweep engine.
-        """
-        index, attempt = unit.index, unit.attempt
-        point = self.state.points[index]
-        claimed = self.in_flight.get(shard)
-        if claimed and unit in claimed:
-            claimed.remove(unit)
-        if outcome.status == OK:
-            stats = SimStats.from_state(outcome.stats_state)
-            # lint: ordered[persist-before-append]
-            if not self.config.inline:
-                # Process-pool workers counted/persisted on their side;
-                # mirror into this process, as sweep() does.  Inline
-                # units already ran (and counted) in this process.
-                runner.record_source(outcome.source)
-                if self.config.use_cache:
-                    runner.seed_cache(point.key(), stats,
-                                      outcome.miss_map)
-            self.outstanding.discard(index)
-            self.emit("completed", index=index, label=point.label,
-                      attempt=attempt, shard=shard,
-                      source=outcome.source,
-                      seconds=round(outcome.seconds, 4))
-            # lint: ordered-end
-            self._terminal()
-            self.state.complete(index, SweepResult(
-                point, stats, outcome.miss_map, outcome.seconds,
-                outcome.source))
-            return
-        error = outcome.to_error(point.label)
-        if outcome.status in _TRANSIENT_STATUSES \
-                and attempt <= self.config.max_retries:
-            delay = backoff_delay(attempt, self.config.backoff_base,
-                                  point.key())
-            self.waiting.append((time.monotonic() + delay, index,
-                                 attempt + 1))
-            self.emit("retried", index=index, label=point.label,
-                      attempt=attempt, shard=shard,
-                      kind=outcome.status,
-                      next_attempt=attempt + 1,
-                      delay=round(delay, 4))
-            return
-        self.outstanding.discard(index)
-        self.emit("failed", index=index, label=point.label,
-                  attempts=attempt, shard=shard,
-                  kind=sweep_mod.PointFailure.from_error(
-                      point.label, index, error, attempt).kind,
-                  message=str(error))
-        self._terminal()
-        self.state.fail(index, error, attempt)
+    def report(self) -> SweepReport:
+        return SweepReport(
+            results=[r for r in self.results if r is not None],
+            failures=[self.failures[i] for i in sorted(self.failures)],
+        )
 
 
-async def _shard_loop(shard: int, incarnation: int, sched: _Scheduler,
-                      config: ServiceConfig, plan: Optional[FaultPlan],
-                      ctx, plan_json: Optional[str]) -> None:
-    """One shard: keep up to ``config.jobs`` workers busy until every
-    point (on any shard) has a terminal outcome.
+def _supervise(state: _SweepState, pending: Sequence[int],
+               config: ServiceConfig, emit: _Emitter,
+               plan: Optional[FaultPlan],
+               shutdown: Optional[ShutdownRequest]) -> None:
+    """Run every pending point to a terminal outcome.
 
-    ``incarnation`` is 1-based and grows each time the supervisor
-    restarts this shard's pool; injected ``shard_kill`` faults use it
-    to decide whether the restarted pool dies again.
+    ``waiting`` is a heap of ``(ready_at, index, attempt)``; a retry
+    re-enters with its backoff deadline.  With ``jobs == 1`` each
+    attempt runs in-process when dispatched; with ``jobs >= 2`` up to
+    ``jobs`` forked workers run at once and the loop blocks on their
+    pipes and sentinels between polls.  Returns early once ``shutdown`` is
+    requested; live workers are reaped on every exit path, including a
+    fail-fast :class:`PointFailure`.
     """
-    live: List[Tuple[object, WorkUnit]] = []
-    claimed = 0
-    last_beat = time.monotonic()
-    sched.heartbeats[shard] = last_beat
-    try:
-        while True:
-            now = time.monotonic()
-            sched.heartbeats[shard] = now
-            if config.heartbeat_interval > 0 \
-                    and now - last_beat >= config.heartbeat_interval:
-                last_beat = now
-                sched.emit("heartbeat", shard=shard,
-                           incarnation=incarnation, live=len(live),
-                           outstanding=len(sched.outstanding))
-            while len(live) < config.jobs:
-                unit = sched.next_ready(now, shard)
-                if unit is None:
-                    break
-                claimed += 1
-                if plan:
-                    fault = plan.shard_fault(shard, claimed,
-                                             incarnation)
-                    if fault is not None:
-                        # The claimed unit stays in ``in_flight`` so
-                        # the watchdog requeues it with this pool.
-                        raise ShardDiedError(
-                            f"injected shard kill: shard {shard} "
-                            f"(incarnation {incarnation}) died on its "
-                            f"claim #{claimed}", shard=shard)
-                if config.inline:
-                    task = asyncio.ensure_future(asyncio.to_thread(
-                        _execute_inline, unit, config.use_cache, plan))
-                    live.append((task, unit))
-                else:
-                    live.append((sweep_mod._spawn(
-                        ctx, unit.point, unit.index, unit.attempt,
-                        config.use_cache, plan_json), unit))
-            progressed = False
-            for entry in list(live):
-                worker, unit = entry
-                if config.inline:
-                    if not worker.done():
-                        continue
-                    outcome = worker.result()
-                else:
-                    # _reap is a poll in the common path (returns None
-                    # while the worker runs); it joins only a worker it
-                    # just terminated for exceeding point_timeout, with
-                    # a bounded 5s grace.
-                    message = sweep_mod._reap(worker,  # lint: allow[async-safety]
-                                              config.point_timeout)
-                    if message is None:
-                        continue
-                    outcome = _outcome_from_reap(unit, message,
-                                                 unit.point.label)
-                live.remove(entry)
-                progressed = True
-                sched.resolve(shard, unit, outcome)
-            if not live and sched.finished:
+    in_process = config.jobs == 1
+    ctx = None if in_process else multiprocessing.get_context()
+    plan_json = plan.to_json() if (plan and not in_process) else None
+    # ``pending`` is ascending, so this list is already a heap.
+    waiting: List[Tuple[float, int, int]] = [
+        (0.0, index, 1) for index in pending]
+    live: List[sweep_mod._Live] = []
+    resolved = 0
+
+    def resolve(index: int, attempt: int, outcome: tuple) -> None:
+        nonlocal resolved
+        point = state.points[index]
+        result = failure = None
+        if outcome[0] == "ok":
+            _, stats, miss_map, source, seconds = outcome
+            # lint: ordered[persist-before-append]
+            if not in_process:
+                # The worker counted and persisted on its side; mirror
+                # it into this process (in-process attempts did both).
+                runner.record_source(source)
+                if config.use_cache:
+                    runner.seed_cache(point.key(), stats, miss_map)
+            emit("completed", index=index, label=point.label,
+                 attempt=attempt, source=source,
+                 seconds=round(seconds, 4))
+            # lint: ordered-end
+            result = SweepResult(point, stats, miss_map, seconds, source)
+        else:
+            error = sweep_mod._outcome_error(outcome, point.label)
+            if isinstance(error, TransientError) \
+                    and attempt <= config.max_retries:
+                delay = backoff_delay(attempt, config.backoff_base,
+                                      point.key())
+                heapq.heappush(waiting, (time.monotonic() + delay, index,
+                                         attempt + 1))
+                emit("retried", index=index, label=point.label,
+                     attempt=attempt, kind=outcome[0],
+                     next_attempt=attempt + 1, delay=round(delay, 4))
                 return
-            if not progressed:
-                await asyncio.sleep(_POLL_SECONDS)
-    finally:
-        # Fail-fast, cancellation, or an unexpected scheduler error:
-        # reap this shard's in-flight workers so no orphan keeps
-        # simulating a doomed grid.
-        for worker, _unit in live:
-            if config.inline:
-                worker.cancel()
-            else:
-                worker.proc.terminate()
-        for worker, _unit in live:
-            if config.inline:
-                continue
-            # Teardown after terminate(): the shard is exiting and the
-            # loop has nothing left to schedule — a bounded join here
-            # beats orphaning a live simulation process.
-            worker.proc.join(5.0)  # lint: allow[async-safety]
-            if worker.proc.is_alive():  # pragma: no cover
-                worker.proc.kill()
-                worker.proc.join()  # lint: allow[async-safety]
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            failure = PointFailure.from_error(point.label, index, error,
+                                              attempt)
+            emit("failed", index=index, label=point.label,
+                 attempts=attempt, kind=failure.kind,
+                 message=failure.message)
+        resolved += 1
+        fault = plan.parent_signal_fault(resolved) if plan else None
+        if fault is not None:
+            os.kill(os.getpid(), fault.signum)
+        if result is not None:
+            state.complete(index, result)
+        else:
+            state.fail(failure)
 
-
-async def _serve(sched: _Scheduler, config: ServiceConfig,
-                 plan: Optional[FaultPlan],
-                 shutdown: Optional[ShutdownRequest] = None,
-                 handle_signals: bool = False) -> None:
-    """Supervise the shard pools: restart or retire dead/stalled ones,
-    requeue their in-flight units, honor shutdown requests."""
-    import multiprocessing
-
-    ctx = None if config.inline else multiprocessing.get_context()
-    plan_json = plan.to_json() if (plan and not config.inline) else None
-    loop = asyncio.get_running_loop()
-    installed: List[int] = []
-    if handle_signals and shutdown is not None:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, shutdown.request, sig)
-                installed.append(sig)
-            except (RuntimeError, ValueError, NotImplementedError):
-                pass  # non-main thread / platform without support
-
-    def spawn(shard: int, incarnation: int) -> asyncio.Future:
-        sched.heartbeats[shard] = time.monotonic()
-        # _shard_loop's residual blocking joins are waived at their
-        # sites (bounded reap/teardown); re-acknowledged here where the
-        # supervisor enters the coroutine.
-        return asyncio.ensure_future(_shard_loop(  # lint: allow[async-safety]
-            shard, incarnation, sched, config, plan, ctx, plan_json))
-
-    #: shard → (task, incarnation); retired shards drop out.
-    tasks: Dict[int, Tuple[asyncio.Future, int]] = {
-        shard: (spawn(shard, 1), 1) for shard in range(config.shards)
-    }
-    restarts = {shard: 0 for shard in tasks}
     try:
-        while True:
+        while waiting or live:
             if shutdown is not None and shutdown.requested():
-                return  # drain: finally reaps every pool
-            now = time.monotonic()
-            for shard in sorted(tasks):
-                task, incarnation = tasks[shard]
-                exc: Optional[BaseException] = None
-                if task.done():
-                    try:
-                        exc = task.exception()
-                    except asyncio.CancelledError:
-                        exc = ShardDiedError(
-                            f"shard {shard} cancelled", shard=shard)
-                    if exc is None:
-                        continue  # clean exit (scheduler finished)
-                elif config.watchdog_timeout is not None \
-                        and now - sched.heartbeats.get(shard, now) \
-                        > config.watchdog_timeout:
-                    # Stalled: heartbeat stopped but the task is not
-                    # done — a failure mode point_timeout cannot see.
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass  # the stall itself is handled below
-                    exc = ShardDiedError(
-                        f"shard {shard} heartbeat stalled past "
-                        f"{config.watchdog_timeout:.1f}s", shard=shard)
-                else:
-                    continue
-                if isinstance(exc, (PointFailure, SweepInterrupted)):
-                    raise exc  # policy decisions, not pool deaths
-                requeued = sched.requeue_shard(shard)
-                if restarts[shard] < config.max_pool_restarts:
-                    restarts[shard] += 1
-                    incarnation += 1
-                    sched.emit("pool_restarted", shard=shard,
-                               incarnation=incarnation,
-                               requeued=requeued,
-                               error=f"{type(exc).__name__}: {exc}")
-                    tasks[shard] = (spawn(shard, incarnation),
-                                    incarnation)
-                else:
-                    del tasks[shard]
-                    sched.emit("pool_retired", shard=shard,
-                               requeued=requeued,
-                               remaining=len(tasks),
-                               error=f"{type(exc).__name__}: {exc}")
-                    if not tasks:
-                        if sched.finished:
-                            return
-                        raise exc  # no pool left for outstanding work
-            if sched.finished and tasks \
-                    and all(t.done() for t, _ in tasks.values()):
                 return
-            await asyncio.sleep(_POLL_SECONDS)
+            if waiting and len(live) < config.jobs \
+                    and waiting[0][0] <= time.monotonic():
+                _, index, attempt = heapq.heappop(waiting)
+                point = state.points[index]
+                emit("scheduled", index=index, label=point.label,
+                     attempt=attempt)
+                if in_process:
+                    resolve(index, attempt, sweep_mod._execute(
+                        point, index, attempt, config.use_cache, plan,
+                        timeout=config.point_timeout, worker=False))
+                else:
+                    live.append(sweep_mod._spawn(
+                        ctx, point, index, attempt, config.use_cache,
+                        plan_json))
+                continue
+            progressed = False
+            for worker in list(live):
+                outcome = sweep_mod._reap(worker, config.point_timeout)
+                if outcome is not None:
+                    live.remove(worker)
+                    progressed = True
+                    resolve(worker.index, worker.attempt, outcome)
+            if progressed:
+                continue
+            if live:
+                multiprocessing.connection.wait(
+                    [w.conn for w in live] + [w.proc.sentinel for w in live],
+                    timeout=_POLL_SECONDS)
+            else:
+                time.sleep(_POLL_SECONDS)
     finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        for task, _incarnation in tasks.values():
-            task.cancel()
-        if tasks:
-            # Each shard's finally block reaps its own live workers.
-            await asyncio.gather(
-                *(t for t, _ in tasks.values()), return_exceptions=True)
+        for worker in live:
+            sweep_mod._stop(worker)
+
+
+def _route_signals(shutdown: ShutdownRequest) -> Dict[int, object]:
+    """Point SIGINT/SIGTERM at ``shutdown``; returns the handlers to
+    restore (none when not on the main thread)."""
+    def on_signal(signum, frame) -> None:
+        shutdown.request(signum)
+
+    previous: Dict[int, object] = {}
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous[sig] = signal.signal(sig, on_signal)
+        except ValueError:
+            pass  # not the main thread: signals stay with the caller
+    return previous
 
 
 def serve_sweep(
@@ -1012,14 +676,13 @@ def serve_sweep(
     handle_signals: bool = False,
     run_info: Optional[dict] = None,
 ) -> SweepReport:
-    """Evaluate every point through the sharded service and return a
+    """Evaluate every point and return a
     :class:`~repro.experiments.sweep.SweepReport`.
 
-    Semantics match :func:`repro.experiments.sweep.sweep` exactly —
-    warm points resolve in the parent without scheduling, transient
-    failures retry with deterministic backoff, ``keep_going`` selects
-    partial-result collection vs fail-fast — plus the progress-event
-    stream (``events``) documented in the module docstring.
+    Warm points resolve in the parent without scheduling; the rest go
+    through the supervisor loop (see the module docstring), emitting
+    the progress-event stream to ``events``.  ``fault_plan`` (or
+    ``REPRO_FAULT_PLAN``) injects failures for testing.
 
     Resume hooks (used by :func:`repro.experiments.journal.run_sweep`):
     ``preresolved`` maps point index → recovered
@@ -1034,8 +697,8 @@ def serve_sweep(
     record (run id, segment number).
 
     Interruption: when ``shutdown`` is requested (or, with
-    ``handle_signals=True``, SIGINT/SIGTERM arrives) the scheduler
-    drains, an ``end{status=interrupted}`` record is written, and
+    ``handle_signals=True``, SIGINT/SIGTERM arrives) the loop drains,
+    an ``end{status=interrupted}`` record is written, and
     :class:`~repro.experiments.errors.SweepInterrupted` carries the
     partial report out.
     """
@@ -1047,70 +710,66 @@ def serve_sweep(
     if shutdown is None and handle_signals:
         shutdown = ShutdownRequest()
     emit = _Emitter(events)
-    state = sweep_mod._SweepState(points, progress, config.keep_going)
+    state = _SweepState(points, progress, config.keep_going)
     preresolved = dict(preresolved or {})
     poisoned = dict(poisoned or {})
     replayed = set(preresolved) | set(poisoned)
 
     pending: List[int] = []
     cached: List[Tuple[int, SweepResult]] = []
-    if config.use_cache:
-        for index, point in enumerate(points):
-            if index in replayed:
-                continue
-            start = time.perf_counter()
-            hit = runner.peek_cached(point.key())
-            if hit is None:
-                pending.append(index)
-                continue
-            stats, miss_map, source = hit
-            runner.record_source(source)
-            cached.append((index, SweepResult(
-                point, stats, miss_map,
-                time.perf_counter() - start, source)))
-    else:
-        pending = [index for index in range(len(points))
-                   if index not in replayed]
+    for index, point in enumerate(points):
+        if index in replayed:
+            continue
+        start = time.perf_counter()
+        hit = runner.peek_cached(point.key()) if config.use_cache else None
+        if hit is None:
+            pending.append(index)
+            continue
+        stats, miss_map, source = hit
+        runner.record_source(source)
+        cached.append((index, SweepResult(
+            point, stats, miss_map, time.perf_counter() - start, source)))
 
     begin_fields = dict(run_info or {})
     emit("begin", total=len(points), cached=len(cached),
          preresolved=len(preresolved), poisoned=len(poisoned),
-         shards=config.shards, jobs=config.jobs,
-         inline=config.inline, **begin_fields)
+         jobs=config.jobs, **begin_fields)
     # Journal-replayed completions re-enter silently: their terminal
     # events already exist in an earlier segment of the joined stream.
     for index in sorted(preresolved):
         state.complete(index, preresolved[index])
     for index, result in cached:
         emit("completed", index=index, label=result.point.label,
-             attempt=0, shard=None, source=result.source,
+             attempt=0, source=result.source,
              seconds=round(result.seconds, 4))
         state.complete(index, result)
 
     started = time.monotonic()
     interrupted = False
+    restore: Dict[int, object] = {}
     try:
         # Poison points: skipped-with-failure, no retry budget burned.
         # The ``poisoned`` event is informational (their ``failed``
         # terminal lives in the segment that exhausted the retries);
-        # fail_preformed still raises under fail-fast.
+        # fail() still raises under fail-fast.
         for index in sorted(poisoned):
             failure = poisoned[index]
             emit("poisoned", index=index, label=failure.label,
                  kind=failure.kind, attempts=failure.attempts,
                  message=failure.message)
-            state.fail_preformed(index, failure)
+            state.fail(failure, poisoned=True)
         if pending:
-            sched = _Scheduler(state, pending, config, emit,
-                               fault_plan)
-            asyncio.run(_serve(sched, config, fault_plan,
-                               shutdown=shutdown,
-                               handle_signals=handle_signals))
+            if handle_signals:
+                restore = _route_signals(shutdown)
+            _supervise(state, pending, config, emit, fault_plan,
+                       shutdown)
         interrupted = (shutdown is not None and shutdown.requested())
     except BaseException:
         interrupted = (shutdown is not None and shutdown.requested())
         raise
     finally:
+        for sig, handler in restore.items():
+            signal.signal(sig, handler)
         if interrupted:
             status = "interrupted"
         elif state.failures:

@@ -1,51 +1,52 @@
-"""Fault-tolerant parallel sweep engine over (workload × prefetcher ×
-config) points.
+"""Sweeps over (workload × prefetcher × config) points: the point
+model, the per-point worker, and :func:`sweep`.
 
 ``runner.run_prefetcher`` evaluates one point; the full §6 grid is
-hundreds of points that are completely independent, so this module
-fans them out over worker processes.  Workers share the on-disk result
-cache (:mod:`repro.experiments.diskcache`), so a sweep only pays for
-points nobody has simulated yet, and its results are visible to every
-later process.
+hundreds of points that are completely independent.  Every sweep —
+:func:`sweep`, :func:`repro.experiments.service.serve_sweep` and the
+journaled :func:`repro.experiments.journal.run_sweep` — is scheduled by
+the one supervisor loop in :mod:`repro.experiments.service`.  This
+module holds what that loop schedules:
 
-Guarantees:
+* :class:`SweepPoint` / :class:`SweepResult` / :class:`SweepReport` —
+  the point, its result, and the whole sweep's outcome;
+* :func:`_execute` — one *attempt* of one point, returning an outcome
+  tuple; with ``jobs == 1`` the loop calls it in-process, with
+  ``jobs >= 2`` it runs in a forked worker (:func:`_spawn` /
+  :func:`_reap`) that the loop supervises;
+* :func:`_outcome_error` — the single mapping from a non-``ok``
+  outcome to its :mod:`~repro.experiments.errors` taxonomy error.
 
-* **Determinism** — results are identical to the serial path; a point
-  is fully described by its :class:`SweepPoint` and the simulator is
-  deterministic, so worker scheduling — and retries after injected or
-  real failures — cannot change any counter (asserted by
-  tests/test_determinism.py and tests/test_faults.py).
-* **Order** — results come back in input order regardless of which
-  worker finishes first.
-* **Isolation** — every pending point runs in its own worker process,
-  supervised by the parent: a crashed worker
-  (:class:`~repro.experiments.errors.WorkerCrashError`) or one
-  exceeding ``point_timeout``
+Guarantees (tests/test_determinism.py, tests/test_faults.py):
+
+* **Determinism** — a point is fully described by its
+  :class:`SweepPoint` and the simulator is deterministic, so ``jobs``,
+  worker scheduling and retries cannot change any counter.
+* **Order** — results come back in input order.
+* **Isolation** — with ``jobs >= 2`` every attempt runs in its own
+  worker process: a crash (:class:`~repro.experiments.errors.
+  WorkerCrashError`) or a ``point_timeout`` kill
   (:class:`~repro.experiments.errors.PointTimeoutError`) costs that
-  point one attempt, never the grid.  Transient failures are retried
-  up to ``max_retries`` times with exponential backoff and
-  deterministic jitter (:func:`repro.experiments.errors.backoff_delay`).
-* **Partial results** — :func:`sweep` returns a :class:`SweepReport`.
-  Under ``keep_going=True`` every completed point survives alongside a
-  :class:`~repro.experiments.errors.PointFailure` record per dead one;
-  under the default fail-fast policy the first terminal failure is
-  raised (after all attempts) and in-flight workers are reaped.
-* **Observability** — one progress line per completed point
-  (``[ 3/12] beego/mana  sim  1.82s``) so multi-minute grids are
-  watchable; pass ``progress=None`` to silence.
+  point one attempt, never the grid.
+* **Retries** — crashes, timeouts and transient faults are retried up
+  to ``max_retries`` times with deterministic exponential backoff
+  (:func:`repro.experiments.errors.backoff_delay`); deterministic
+  simulation errors fail at once.
+* **Partial results** — ``keep_going=True`` keeps every completed point
+  alongside a :class:`~repro.experiments.errors.PointFailure` per dead
+  one; the default fail-fast policy raises the first failure.
 
 Fault injection: a :class:`~repro.experiments.faults.FaultPlan`
 (explicit ``fault_plan=`` or the ``REPRO_FAULT_PLAN`` environment
-variable) deterministically injects worker crashes, hangs, transient
-errors, and cache corruption at chosen points — see
-docs/RESILIENCE.md.
+variable) deterministically injects crashes, hangs, transient errors
+and cache corruption — see docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
+import signal
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,11 +55,11 @@ from repro.cpu.stats import SimStats
 from repro.experiments import faults as faults_mod
 from repro.experiments import runner
 from repro.experiments.errors import (
+    ExperimentError,
     PointFailure,
     PointTimeoutError,
     TransientError,
     WorkerCrashError,
-    backoff_delay,
 )
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import DEFAULT_WARMUP
@@ -72,9 +73,6 @@ DEFAULT_MAX_RETRIES = 2
 
 #: First-retry backoff in seconds (doubles per retry, jittered).
 DEFAULT_BACKOFF = 0.25
-
-#: Parent-side poll period while supervising workers.
-_POLL_SECONDS = 0.01
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,43 +201,86 @@ def _run_serial(point: SweepPoint,
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# One attempt of one point
 # ----------------------------------------------------------------------
-def _point_process(conn, index: int, attempt: int, point: SweepPoint,
-                   use_cache: bool, plan_json: Optional[str]) -> None:
-    """Entry point of a per-point worker process.
+#: An attempt's outcome: ``("ok", SimStats, miss_map, source,
+#: seconds)``, ``("crash", exitcode)``, ``("timeout", seconds)``,
+#: ``("transient", message)`` or ``("error", message)``.
+Outcome = Tuple
 
-    Sends exactly one message tuple back through ``conn``:
-    ``("ok", state_dict, miss_map, source, elapsed)``,
-    ``("transient", message)`` for injected flaky faults, or
-    ``("error", message)`` for a real (deterministic, non-retryable)
-    exception from the simulation.  Injected crashes exit hard without
-    sending; injected hangs sleep first, relying on the parent's
-    ``point_timeout`` supervision.
+
+def _execute(point: SweepPoint, index: int, attempt: int,
+             use_cache: bool, plan: Optional[FaultPlan],
+             timeout: Optional[float], worker: bool) -> Outcome:
+    """Run one attempt of one point and return its outcome tuple.
+
+    In a ``worker`` process an injected crash exits hard and an
+    injected hang sleeps, leaving detection to the supervising parent.
+    In-process (``worker=False``) nothing can kill the point, so the
+    same faults map straight to the outcome the parent would have
+    seen: a crash with :data:`~repro.experiments.faults.
+    CRASH_EXIT_CODE`, or a timeout.
     """
-    plan = FaultPlan.from_json(plan_json) if plan_json else None
-    if plan:
-        fault = plan.exec_fault(index, point.label, attempt)
-        if fault is not None:
-            if fault.kind == faults_mod.CRASH:
-                conn.close()
+    fault = plan.exec_fault(index, point.label, attempt) if plan else None
+    if fault is not None:
+        if fault.kind == faults_mod.CRASH:
+            if worker:
                 os._exit(faults_mod.CRASH_EXIT_CODE)
-            elif fault.kind == faults_mod.HANG:
-                time.sleep(fault.seconds)
-            elif fault.kind == faults_mod.ERROR:
-                conn.send(("transient",
-                           f"injected transient fault at {point.label}"))
-                conn.close()
-                return
+            return ("crash", faults_mod.CRASH_EXIT_CODE)
+        if fault.kind == faults_mod.HANG:
+            if not worker:
+                return ("timeout", timeout)
+            time.sleep(fault.seconds)
+        else:
+            return ("transient",
+                    f"injected transient fault at {point.label}")
     try:
         stats, miss_map, source, elapsed = _run_serial(point, use_cache)
     except Exception as exc:
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        conn.close()
-        return
+        return ("error", f"{type(exc).__name__}: {exc}")
     if plan and use_cache:
         plan.corrupt_cache_entries(index, point.label, attempt, point.key())
-    conn.send(("ok", stats.state_dict(), miss_map, source, elapsed))
+    return ("ok", stats, miss_map, source, elapsed)
+
+
+def _outcome_error(outcome: Outcome, label: str) -> ExperimentError:
+    """Map a non-``ok`` outcome to its taxonomy error: crashes,
+    timeouts and transient faults are :class:`TransientError`
+    (retryable); a simulation error is a plain
+    :class:`ExperimentError`."""
+    kind, detail = outcome[0], outcome[1]
+    if kind == "crash":
+        return WorkerCrashError(
+            f"worker for {label} died (exit code {detail})",
+            exitcode=detail)
+    if kind == "timeout":
+        limit = "" if detail is None else f" ({detail:.1f}s)"
+        return PointTimeoutError(
+            f"{label} exceeded point timeout{limit}", timeout=detail)
+    if kind == "transient":
+        return TransientError(detail)
+    return ExperimentError(detail)
+
+
+# ----------------------------------------------------------------------
+# Forked workers (jobs >= 2)
+# ----------------------------------------------------------------------
+def _point_process(conn, index: int, attempt: int, point: SweepPoint,
+                   use_cache: bool, plan_json: Optional[str]) -> None:
+    """Entry point of a per-attempt worker process: sends exactly one
+    outcome tuple back through ``conn`` (stats as a state dict), unless
+    an injected crash exits first."""
+    # The parent owns interruption: it drains on SIGINT and terminates
+    # workers with SIGTERM, which must kill even when the parent's
+    # Python-level handlers were inherited through fork.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    plan = FaultPlan.from_json(plan_json) if plan_json else None
+    outcome = _execute(point, index, attempt, use_cache, plan,
+                       timeout=None, worker=True)
+    if outcome[0] == "ok":
+        outcome = ("ok", outcome[1].state_dict()) + outcome[2:]
+    conn.send(outcome)
     conn.close()
 
 
@@ -247,7 +288,7 @@ def _point_process(conn, index: int, attempt: int, point: SweepPoint,
 class _Live:
     """A worker currently executing one attempt of one point."""
 
-    proc: multiprocessing.Process
+    proc: object
     conn: object
     index: int
     attempt: int
@@ -268,13 +309,10 @@ def _spawn(ctx, point: SweepPoint, index: int, attempt: int,
 
 
 def _reap(live: _Live,
-          point_timeout: Optional[float]) -> Optional[Tuple]:
-    """Poll one worker; returns its outcome tuple or None if still
-    running.
-
-    Outcomes: the worker's own message, or parent-detected
-    ``("crash", exitcode)`` / ``("timeout", seconds)``.
-    """
+          point_timeout: Optional[float]) -> Optional[Outcome]:
+    """Poll one worker; returns its outcome tuple, or None while it
+    runs.  Parent-detected outcomes are ``("crash", exitcode)`` and
+    ``("timeout", point_timeout)``."""
     # Liveness *before* the pipe check closes the exit race: once the
     # process is observably dead, anything it sent is already buffered.
     alive = live.proc.is_alive()
@@ -287,6 +325,8 @@ def _reap(live: _Live,
         live.conn.close()
         if message is None:
             return ("crash", live.proc.exitcode)
+        if message[0] == "ok":
+            message = ("ok", SimStats.from_state(message[1])) + message[2:]
         return message
     if not alive:
         live.proc.join()
@@ -294,213 +334,24 @@ def _reap(live: _Live,
         return ("crash", live.proc.exitcode)
     if point_timeout is not None and \
             time.monotonic() - live.started > point_timeout:
-        live.proc.terminate()
-        live.proc.join(5.0)
-        if live.proc.is_alive():  # pragma: no cover - stuck in a syscall
-            live.proc.kill()
-            live.proc.join()
-        live.conn.close()
+        _stop(live)
         return ("timeout", point_timeout)
     return None
 
 
-def _outcome_error(outcome: Tuple, label: str) -> TransientError:
-    """Map a non-ok worker outcome to its taxonomy error."""
-    kind = outcome[0]
-    if kind == "crash":
-        return WorkerCrashError(
-            f"worker for {label} died (exit code {outcome[1]})",
-            exitcode=outcome[1],
-        )
-    if kind == "timeout":
-        return PointTimeoutError(
-            f"{label} exceeded point timeout ({outcome[1]:.1f}s)",
-            timeout=outcome[1],
-        )
-    return TransientError(outcome[1])
+def _stop(live: _Live) -> None:
+    """Terminate (then, if need be, kill) one worker and release it."""
+    live.proc.terminate()
+    live.proc.join(5.0)
+    if live.proc.is_alive():  # pragma: no cover - stuck in a syscall
+        live.proc.kill()
+        live.proc.join()
+    live.conn.close()
 
 
 # ----------------------------------------------------------------------
-# The engine
+# Entry points
 # ----------------------------------------------------------------------
-class _SweepState:
-    """Mutable bookkeeping shared by the serial and parallel paths."""
-
-    def __init__(self, points: List[SweepPoint],
-                 progress: Optional[ProgressFn], keep_going: bool):
-        self.points = points
-        self.total = len(points)
-        self.results: List[Optional[SweepResult]] = [None] * self.total
-        self.failures: Dict[int, PointFailure] = {}
-        self.progress = progress
-        self.keep_going = keep_going
-        self.done = 0
-
-    def _emit(self, label: str, tail: str) -> None:
-        self.done += 1
-        if self.progress is not None:
-            width = len(str(self.total))
-            self.progress(
-                f"[{self.done:>{width}}/{self.total}] {label:<28s} {tail}"
-            )
-
-    def complete(self, index: int, result: SweepResult) -> None:
-        self.results[index] = result
-        self._emit(result.point.label,
-                   f"{result.source:<6s} {result.seconds:6.2f}s")
-
-    def fail(self, index: int, error: BaseException, attempts: int) -> None:
-        """Record a terminal failure; raises under fail-fast."""
-        failure = PointFailure.from_error(
-            self.points[index].label, index, error, attempts)
-        self.failures[index] = failure
-        self._emit(failure.label,
-                   f"FAIL   ({failure.kind} after {attempts} attempts)")
-        if not self.keep_going:
-            raise failure
-
-    def fail_preformed(self, index: int, failure: PointFailure) -> None:
-        """Record an already-constructed terminal failure (a poison
-        point replayed from the run journal); raises under fail-fast
-        like :meth:`fail`."""
-        self.failures[index] = failure
-        self._emit(failure.label,
-                   f"FAIL   ({failure.kind}, poisoned — quarantined "
-                   "by run journal)")
-        if not self.keep_going:
-            raise failure
-
-    def report(self) -> SweepReport:
-        return SweepReport(
-            results=[r for r in self.results if r is not None],
-            failures=[self.failures[i] for i in sorted(self.failures)],
-        )
-
-
-def _sweep_serial(state: _SweepState, pending: Sequence[int],
-                  use_cache: bool, plan: Optional[FaultPlan],
-                  max_retries: int, point_timeout: Optional[float],
-                  backoff_base: float) -> None:
-    """In-process evaluation with the same retry/failure policy as the
-    parallel path.
-
-    No supervisor can terminate an in-process point, so ``hang`` faults
-    are mapped straight to :class:`PointTimeoutError`; everything else
-    behaves identically.
-    """
-    for index in pending:
-        point = state.points[index]
-        attempt = 1
-        while True:
-            try:
-                if plan:
-                    fault = plan.exec_fault(index, point.label, attempt)
-                    if fault is not None:
-                        if fault.kind == faults_mod.CRASH:
-                            raise WorkerCrashError(
-                                f"injected crash at {point.label}")
-                        if fault.kind == faults_mod.HANG:
-                            raise PointTimeoutError(
-                                f"injected hang at {point.label}",
-                                timeout=point_timeout)
-                        raise TransientError(
-                            f"injected transient fault at {point.label}")
-                stats, miss_map, source, elapsed = _run_serial(
-                    point, use_cache)
-                if plan and use_cache:
-                    plan.corrupt_cache_entries(
-                        index, point.label, attempt, point.key())
-                state.complete(index, SweepResult(
-                    point, stats, miss_map, elapsed, source))
-                break
-            except TransientError as exc:
-                if attempt > max_retries:
-                    state.fail(index, exc, attempt)
-                    break
-                time.sleep(backoff_delay(attempt, backoff_base,
-                                         point.key()))
-                attempt += 1
-            except Exception as exc:
-                state.fail(index, exc, attempt)
-                break
-
-
-def _sweep_parallel(state: _SweepState, pending: Sequence[int],
-                    use_cache: bool, plan: Optional[FaultPlan],
-                    jobs: int, max_retries: int,
-                    point_timeout: Optional[float],
-                    backoff_base: float) -> None:
-    """Supervise per-point worker processes.
-
-    Each attempt of each point gets a fresh process, so a crash or a
-    terminated hang can never poison a shared pool; the parent is the
-    only scheduler, so retries (delayed by deterministic backoff) and
-    fresh points interleave freely up to ``jobs`` live workers.
-    """
-    ctx = multiprocessing.get_context()
-    plan_json = plan.to_json() if plan else None
-    # (ready_at, index, attempt): ready_at is a monotonic timestamp;
-    # retries re-enter the queue with their backoff deadline.
-    waiting: List[Tuple[float, int, int]] = [
-        (0.0, index, 1) for index in pending
-    ]
-    live: List[_Live] = []
-    try:
-        while waiting or live:
-            now = time.monotonic()
-            waiting.sort()
-            while waiting and len(live) < jobs and waiting[0][0] <= now:
-                _, index, attempt = waiting.pop(0)
-                live.append(_spawn(ctx, state.points[index], index,
-                                   attempt, use_cache, plan_json))
-            progressed = False
-            for worker in list(live):
-                outcome = _reap(worker, point_timeout)
-                if outcome is None:
-                    continue
-                live.remove(worker)
-                progressed = True
-                index, attempt = worker.index, worker.attempt
-                point = state.points[index]
-                if outcome[0] == "ok":
-                    _, stat_state, miss_map, source, elapsed = outcome
-                    stats = SimStats.from_state(stat_state)
-                    runner.record_source(source)
-                    if use_cache:
-                        # Workers persisted to disk; mirror into this
-                        # process's memory cache too.
-                        runner.seed_cache(point.key(), stats, miss_map)
-                    state.complete(index, SweepResult(
-                        point, stats, miss_map, elapsed, source))
-                elif outcome[0] == "error":
-                    state.fail(index, RuntimeError(outcome[1]), attempt)
-                else:
-                    error = _outcome_error(outcome, point.label)
-                    if attempt > max_retries:
-                        state.fail(index, error, attempt)
-                    else:
-                        delay = backoff_delay(attempt, backoff_base,
-                                              point.key())
-                        waiting.append((time.monotonic() + delay,
-                                        index, attempt + 1))
-            if not progressed:
-                time.sleep(_POLL_SECONDS)
-    finally:
-        # Fail-fast (or an unexpected parent error): reap in-flight
-        # workers so no orphan keeps simulating a doomed grid.
-        for worker in live:
-            worker.proc.terminate()
-        for worker in live:
-            worker.proc.join(5.0)
-            if worker.proc.is_alive():  # pragma: no cover
-                worker.proc.kill()
-                worker.proc.join()
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-
-
 def sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
@@ -512,11 +363,11 @@ def sweep(
     backoff_base: float = DEFAULT_BACKOFF,
     fault_plan: Optional[FaultPlan] = None,
 ) -> SweepReport:
-    """Evaluate every point, fanning out over up to ``jobs`` worker
-    processes, and return a :class:`SweepReport`.
+    """Evaluate every point and return a :class:`SweepReport`.
 
-    Cached points (memory or disk) are resolved in the parent first;
-    only genuinely missing simulations get worker processes, so a warm
+    ``jobs == 1`` runs points in-process; ``jobs >= 2`` gives every
+    attempt its own forked worker, up to ``jobs`` at a time.  Cached
+    points (memory or disk) resolve in the parent first, so a warm
     sweep never forks at all.
 
     Resilience policy:
@@ -525,49 +376,27 @@ def sweep(
       injected flaky faults) are retried up to ``max_retries`` times
       with exponential backoff from ``backoff_base`` seconds and
       deterministic per-point jitter;
-    * deterministic simulation exceptions are recorded (or raised)
-      immediately — retrying a pure function is wasted work;
+    * deterministic simulation exceptions fail the point at once —
+      retrying a pure function is wasted work;
     * ``keep_going=False`` (default) raises the first terminal
       :class:`PointFailure`; ``keep_going=True`` records it and keeps
       sweeping, returning completed results alongside the failures;
-    * ``point_timeout`` is enforced by worker termination and therefore
-      needs ``jobs >= 2``; serial sweeps map injected hangs straight to
-      timeout failures.
+    * ``point_timeout`` is enforced by killing the worker and therefore
+      needs ``jobs >= 2``; in-process sweeps map injected hangs straight
+      to timeout failures.
 
-    ``fault_plan`` (or ``REPRO_FAULT_PLAN``) deterministically injects
-    failures for testing — see :mod:`repro.experiments.faults`.
+    This is :func:`repro.experiments.service.serve_sweep` without an
+    event stream; invalid settings raise
+    :class:`~repro.experiments.errors.InvalidConfigError`.
     """
-    points = list(points)
-    if fault_plan is None:
-        fault_plan = FaultPlan.from_env()
-    state = _SweepState(points, progress, keep_going)
+    from repro.experiments.service import ServiceConfig, serve_sweep
 
-    pending: List[int] = []
-    if use_cache:
-        # Resolve warm points in the parent without forking.
-        for index, point in enumerate(points):
-            start = time.perf_counter()
-            hit = runner.peek_cached(point.key())
-            if hit is None:
-                pending.append(index)
-                continue
-            stats, miss_map, source = hit
-            runner.record_source(source)
-            state.complete(index, SweepResult(
-                point, stats, miss_map,
-                time.perf_counter() - start, source))
-    else:
-        pending = list(range(len(points)))
-
-    if pending:
-        if jobs <= 1:
-            _sweep_serial(state, pending, use_cache, fault_plan,
-                          max_retries, point_timeout, backoff_base)
-        else:
-            _sweep_parallel(state, pending, use_cache, fault_plan,
-                            min(jobs, len(pending)), max_retries,
-                            point_timeout, backoff_base)
-    return state.report()
+    config = ServiceConfig(
+        jobs=jobs, use_cache=use_cache, max_retries=max_retries,
+        point_timeout=point_timeout, keep_going=keep_going,
+        backoff_base=backoff_base)
+    return serve_sweep(points, config, progress=progress,
+                       fault_plan=fault_plan)
 
 
 def sweep_grid(

@@ -60,12 +60,6 @@ DEFAULT_FENCED_PATHS = (
 #: ``import repro.x`` to a project file (ProjectGraph).
 DEFAULT_SRC_ROOTS = ("src",)
 
-#: Files whose ``async def`` bodies must stay free of blocking calls.
-DEFAULT_ASYNC_PATHS = (
-    "src/repro/experiments/service.py",
-    "src/repro/experiments/journal.py",
-)
-
 #: Files whose emitted-event dict literals and event consumers are
 #: checked against the declarative schema table.
 DEFAULT_EVENT_CONSUMER_PATHS = (
@@ -76,10 +70,6 @@ DEFAULT_EVENT_CONSUMER_PATHS = (
 
 #: Functions that must mention every event kind in the schema.
 DEFAULT_EVENT_EXHAUSTIVE_CONSUMERS = ("summarize_events",)
-
-#: Dataclasses whose constructor arguments cross the (remote-ready)
-#: transport boundary and must stay JSON-safe.
-DEFAULT_TRANSPORT_CLASSES = ("WorkUnit", "WorkOutcome")
 
 #: Directories where every ``raise`` must resolve to the taxonomy root.
 DEFAULT_TAXONOMY_PATHS = ("src/repro/experiments",)
@@ -108,13 +98,11 @@ class LintConfig:
     #: config turns the corresponding waivers off repo-wide.
     waivers: Tuple[str, ...] = ("ephemeral", "allow")
     src_roots: Tuple[str, ...] = DEFAULT_SRC_ROOTS
-    async_paths: Tuple[str, ...] = DEFAULT_ASYNC_PATHS
     #: ``path::NAME`` of the declarative event-schema dict literal.
     event_schema_table: str = "src/repro/experiments/service.py::EVENT_SCHEMA"
     event_consumer_paths: Tuple[str, ...] = DEFAULT_EVENT_CONSUMER_PATHS
     event_exhaustive_consumers: Tuple[str, ...] = (
         DEFAULT_EVENT_EXHAUSTIVE_CONSUMERS)
-    transport_classes: Tuple[str, ...] = DEFAULT_TRANSPORT_CLASSES
     taxonomy_paths: Tuple[str, ...] = DEFAULT_TAXONOMY_PATHS
     taxonomy_root: str = "ExperimentError"
     ordered_paths: Tuple[str, ...] = DEFAULT_ORDERED_PATHS
@@ -140,11 +128,9 @@ _TABLE_KEYS = {
     "cache-file": "cache_file",
     "waivers": "waivers",
     "src-roots": "src_roots",
-    "async-paths": "async_paths",
     "event-schema-table": "event_schema_table",
     "event-consumer-paths": "event_consumer_paths",
     "event-exhaustive-consumers": "event_exhaustive_consumers",
-    "transport-classes": "transport_classes",
     "taxonomy-paths": "taxonomy_paths",
     "taxonomy-root": "taxonomy_root",
     "ordered-paths": "ordered_paths",

@@ -37,7 +37,7 @@ from repro.lint.registry import select_rules
 from repro.lint.rules.base import FileContext, scan_directives
 
 #: Bump to invalidate every cached file result after engine changes.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 _SKIP_DIRS = {"__pycache__", ".git", ".lint-cache", "node_modules"}
 

@@ -7,11 +7,11 @@ a :class:`ProjectGraph` once per run at report time.  The graph offers:
 * module/import resolution (``import x``, ``from x import y``, relative
   imports) down to project-root-relative file paths;
 * a class index with hierarchy resolution across files (multiple
-  inheritance included), used by ``error-taxonomy``;
-* an approximate, name-based call graph, used by ``async-safety`` to
-  chase blocking calls through helpers.
+  inheritance included), and
+* approximate, name-based call resolution, both used by
+  ``error-taxonomy`` (a raise of a factory call follows one hop).
 
-The call graph is deliberately approximate — it resolves
+Call resolution is deliberately approximate — it resolves
 
 * ``self.m(...)`` against the enclosing class and its scanned bases,
 * plain names against module-level functions and imports,
@@ -26,8 +26,7 @@ false positives, which is the right trade for a lint gate.
 from __future__ import annotations
 
 import ast
-from collections import deque
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.rules.base import dotted_name
@@ -128,24 +127,8 @@ def _collect_imports(tree: ast.Module,
     return imports
 
 
-def _call_names(fn: ast.AST) -> List[Tuple[str, int]]:
-    """``(dotted-or-self name, line)`` for every call in ``fn``'s body,
-    nested closures included (their work runs on the caller's behalf)."""
-    calls: List[Tuple[str, int]] = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name:
-                calls.append((name, node.lineno))
-    return calls
-
-
 def _func_info(fn: ast.AST) -> dict:
-    return {
-        "line": fn.lineno,
-        "async": isinstance(fn, ast.AsyncFunctionDef),
-        "calls": _call_names(fn),
-    }
+    return {"line": fn.lineno}
 
 
 def build_file_index(tree: ast.Module, rel_path: str,
@@ -210,27 +193,6 @@ class ProjectGraph:
                 for mname in cinfo["methods"]:
                     self._method_sites.setdefault(mname, []).append(
                         (path, cname))
-
-    # -- lookups -------------------------------------------------------
-    def functions(self) -> Iterator[Tuple[str, str, dict]]:
-        """Yield ``(path, qual, info)`` for every function and method."""
-        for path in sorted(self.indices):
-            idx = self.indices[path]
-            for fname, info in sorted(idx.get("functions", {}).items()):
-                yield path, fname, info
-            for cname, cinfo in sorted(idx.get("classes", {}).items()):
-                for mname, info in sorted(cinfo["methods"].items()):
-                    yield path, f"{cname}.{mname}", info
-
-    def lookup(self, path: str, qual: str) -> Optional[dict]:
-        idx = self.indices.get(path)
-        if idx is None:
-            return None
-        if "." in qual:
-            cname, mname = qual.split(".", 1)
-            cinfo = idx.get("classes", {}).get(cname)
-            return cinfo["methods"].get(mname) if cinfo else None
-        return idx.get("functions", {}).get(qual)
 
     # -- class hierarchy -----------------------------------------------
     def resolve_class(self, path: str,
@@ -368,29 +330,6 @@ class ProjectGraph:
                     return mpath, f"{rest[0]}.{rest[1]}"
             return None
         return None
-
-    def walk_calls(self, path: str, qual: str, max_depth: int = 8,
-                   ) -> Iterator[Tuple[str, str, str, int, int,
-                                       Optional[Tuple[str, str]]]]:
-        """BFS over the call graph from one function.
-
-        Yields ``(caller_path, caller_qual, call_name, line, depth,
-        resolved_target)`` for every call expression reached, without
-        revisiting resolved targets.
-        """
-        seen: Set[Tuple[str, str]] = {(path, qual)}
-        queue = deque([(path, qual, 0)])
-        while queue:
-            cpath, cqual, depth = queue.popleft()
-            info = self.lookup(cpath, cqual)
-            if info is None:
-                continue
-            for name, line in info["calls"]:
-                target = self.resolve_call(cpath, cqual, name)
-                yield cpath, cqual, name, line, depth, target
-                if target and target not in seen and depth < max_depth:
-                    seen.add(target)
-                    queue.append((target[0], target[1], depth + 1))
 
     def deps_of(self, path: str) -> List[str]:
         idx = self.indices.get(path)

@@ -11,11 +11,10 @@ Each rule module exposes a class with:
   for cross-file resolution.  Most per-file rules emit findings
   directly from ``analyze``; ``snapshot-coverage`` resolves the
   ``SimComponent`` hierarchy at report time, and the project-level
-  rules (``async-safety``, ``event-schema``, ``error-taxonomy``) walk
-  the graph there.
+  rules (``event-schema``, ``error-taxonomy``) consult the graph
+  there.
 """
 
-from repro.lint.rules.async_safety import AsyncSafetyRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.event_schema import EventSchemaRule
 from repro.lint.rules.hotloop import HotLoopRule
@@ -23,11 +22,8 @@ from repro.lint.rules.ordering import CrashOrderingRule
 from repro.lint.rules.pickles import PickleSafetyRule
 from repro.lint.rules.snapshot import SnapshotCoverageRule
 from repro.lint.rules.taxonomy import ErrorTaxonomyRule
-from repro.lint.rules.transport import BoundaryTransportRule
 
 __all__ = [
-    "AsyncSafetyRule",
-    "BoundaryTransportRule",
     "CrashOrderingRule",
     "DeterminismRule",
     "ErrorTaxonomyRule",

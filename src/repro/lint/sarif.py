@@ -23,9 +23,7 @@ RULE_DESCRIPTIONS = {
     "determinism": "Simulation code must stay deterministic.",
     "hot-loop": "Fenced hot loops must stay allocation-free.",
     "pickle-safety": "Worker-boundary arguments must pickle cleanly.",
-    "async-safety": "Coroutines must not block the event loop.",
     "event-schema": "Emitted events must match the declared schema.",
-    "boundary-transport": "Transport payloads must stay JSON-safe.",
     "error-taxonomy": "Raises must resolve to the experiment taxonomy.",
     "crash-ordering": "Annotated regions must keep their fsync order.",
 }

@@ -75,7 +75,8 @@ class TestSweepParser:
     def test_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.workloads == []
-        assert args.jobs == 1
+        # Unset here; cmd_sweep resolves it to 1 (2 with --manifest).
+        assert args.jobs is None
         assert not args.no_cache
         assert not args.clear_cache
         assert args.prefetchers == ["efetch", "mana", "eip",

@@ -7,6 +7,7 @@ SimStats are bit-identical to a fault-free run.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,6 @@ from repro.experiments.faults import (
     ERROR,
     HANG,
     PARENT_SIGNAL,
-    SHARD_KILL,
     TORN_JOURNAL,
     TRUNCATE,
     Fault,
@@ -37,6 +37,8 @@ from repro.experiments.sweep import SweepPoint, SweepReport, sweep
 
 WORKLOAD = "mysql_sibench"
 EIP_LABEL = f"{WORKLOAD}/eip"
+SMOKE_MANIFEST = Path(__file__).resolve().parents[1] / "manifests" \
+    / "ci-smoke.toml"
 
 
 @pytest.fixture()
@@ -405,6 +407,22 @@ class TestSweepCLI:
         assert rc == 1
         assert "sweep aborted" in capsys.readouterr().err
 
+    def test_zero_jobs_rejected_cleanly(self, cache_dir, capsys):
+        rc = main(["sweep", "--manifest", str(SMOKE_MANIFEST),
+                   "--jobs", "0"])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_negative_timeout_and_retries_rejected(self, cache_dir,
+                                                   capsys):
+        rc = main(["sweep", "--manifest", str(SMOKE_MANIFEST),
+                   "--point-timeout", "-1", "--max-retries", "-1",
+                   "--jobs", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "point_timeout must be > 0" in err
+        assert "max_retries must be >= 0" in err
+
     def test_clean_sweep_exits_zero(self, cache_dir, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         rc = main(["sweep", WORKLOAD, "--prefetchers", "eip",
@@ -419,35 +437,19 @@ class TestSweepCLI:
 class TestSchedulerFaults:
     def test_spec_round_trip_carries_layer_fields(self):
         plan = FaultPlan([
-            Fault(SHARD_KILL, 1, times=2, after=3),
             Fault(PARENT_SIGNAL, 5, signum=2),
             Fault(TORN_JOURNAL, 1),
         ])
         clone = FaultPlan.from_json(plan.to_json())
         assert clone.faults == plan.faults
         specs = {f.kind: f.to_spec() for f in clone.faults}
-        assert specs[SHARD_KILL]["after"] == 3
         assert specs[PARENT_SIGNAL]["signum"] == 2
         assert "seconds" not in specs[TORN_JOURNAL]
 
     def test_layer_kinds_require_integer_targets(self):
-        for kind in (SHARD_KILL, PARENT_SIGNAL, TORN_JOURNAL):
+        for kind in (PARENT_SIGNAL, TORN_JOURNAL):
             with pytest.raises(ValueError, match="integer"):
                 Fault(kind, EIP_LABEL)
-
-    def test_after_must_be_positive(self):
-        with pytest.raises(ValueError, match="after"):
-            Fault(SHARD_KILL, 0, after=0)
-
-    def test_shard_fault_matches_claim_and_incarnation(self):
-        plan = FaultPlan([Fault(SHARD_KILL, 0, times=2, after=2)])
-        assert plan.shard_fault(0, claimed=2, incarnation=1)
-        assert plan.shard_fault(0, claimed=2, incarnation=2)
-        assert plan.shard_fault(0, claimed=2, incarnation=3) is None
-        assert plan.shard_fault(0, claimed=1, incarnation=1) is None
-        assert plan.shard_fault(1, claimed=2, incarnation=1) is None
-        persistent = FaultPlan([Fault(SHARD_KILL, 0)])
-        assert persistent.shard_fault(0, claimed=1, incarnation=99)
 
     def test_parent_signal_fault_matches_resolved_count(self):
         plan = FaultPlan([Fault(PARENT_SIGNAL, 3, signum=15)])
@@ -458,13 +460,13 @@ class TestSchedulerFaults:
     def test_journal_faults_match_segment(self):
         plan = FaultPlan([Fault(TORN_JOURNAL, 1),
                           Fault(TORN_JOURNAL, 2),
-                          Fault(SHARD_KILL, 1)])
+                          Fault(PARENT_SIGNAL, 1)])
         assert len(plan.journal_faults(1)) == 1
         assert len(plan.journal_faults(2)) == 1
         assert plan.journal_faults(3) == ()
 
     def test_layer_faults_never_match_exec_or_cache(self):
-        plan = FaultPlan([Fault(SHARD_KILL, 0), Fault(PARENT_SIGNAL, 0),
+        plan = FaultPlan([Fault(PARENT_SIGNAL, 0),
                           Fault(TORN_JOURNAL, 0)])
         assert plan.exec_fault(0, EIP_LABEL, attempt=1) is None
         assert plan.cache_faults(0, EIP_LABEL, attempt=1) == ()

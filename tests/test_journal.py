@@ -13,17 +13,19 @@ Contracts under test:
   across the joined journal segments (the ISSUE acceptance case);
 * poison points (retries exhausted) are quarantined on resume instead
   of re-burning their retry budget;
-* shard pools that die are restarted with their in-flight units
-  requeued, and repeated deaths degrade to fewer shards instead of
-  failing the run;
-* SIGINT/SIGTERM drain gracefully: partial report, ``end{status=
+* SIGINT/SIGTERM drain gracefully — in-process or with forked workers,
+  none of which outlives the drain: partial report, ``end{status=
   interrupted}``, conventional 128+signum exit code;
+* journals written by the v2 (sharded) scheduler still summarize and
+  resume exactly-once;
 * the disk-space guard refuses writes instead of risking torn entries.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -43,13 +45,11 @@ from repro.experiments import diskcache, runner
 from repro.experiments.errors import (
     DiskFullError,
     PointFailure,
-    ShardDiedError,
     SweepInterrupted,
 )
 from repro.experiments.faults import (
     ERROR,
     PARENT_SIGNAL,
-    SHARD_KILL,
     TORN_JOURNAL,
     Fault,
     FaultPlan,
@@ -101,8 +101,8 @@ def _points(n=6):
 
 def _fake_run_serial(point, use_cache):
     """Deterministic synthetic executor (same scheme as
-    tests/test_service.py): scheduler, retries, cache, and journal are
-    all real; only the simulation is synthesized per point key."""
+    tests/test_service.py): supervisor loop, retries, cache, and journal
+    are all real; only the simulation is synthesized per point key."""
     digest = hashlib.sha256(point.key().encode("utf-8")).hexdigest()
     stats = SimStats()
     stats.instructions = int(digest[:12], 16)
@@ -125,9 +125,7 @@ def _ref_states(points):
 
 
 def _config(**kw):
-    kw.setdefault("shards", 2)
     kw.setdefault("jobs", 1)
-    kw.setdefault("inline", True)
     kw.setdefault("backoff_base", 0.0)
     return ServiceConfig(**kw)
 
@@ -148,16 +146,16 @@ _FIELD_VALUES = st.one_of(
 def _event_stream():
     """Sequences of schema-shaped events with strictly increasing seq."""
     body = st.dictionaries(
-        st.sampled_from(["index", "label", "source", "message", "shard",
+        st.sampled_from(["index", "label", "source", "message", "kind",
                          "seconds", "attempt", "status"]),
         _FIELD_VALUES, max_size=4)
     return st.lists(
         st.tuples(st.sampled_from(
             ["begin", "scheduled", "completed", "retried", "failed",
-             "heartbeat", "end"]), body),
+             "poisoned", "end"]), body),
         min_size=1, max_size=20,
     ).map(lambda items: [
-        {"v": 2, "seq": i + 1, "event": kind, **fields}
+        {"v": 3, "seq": i + 1, "event": kind, **fields}
         for i, (kind, fields) in enumerate(items)
     ])
 
@@ -236,7 +234,8 @@ class TestRunDirLifecycle:
         meta = json.loads((a.run_dir / "meta.json").read_text())
         assert meta["fingerprint"] == grid_fingerprint(pts)
         assert meta["total"] == len(pts)
-        assert meta["config"]["shards"] == 2
+        assert meta["config"] == dataclasses.asdict(_config())
+        assert "shards" not in meta["config"]
 
     def test_resume_picks_latest_and_opens_next_segment(self, cache_dir):
         pts = _points()
@@ -272,13 +271,14 @@ class TestRunDirLifecycle:
 # Interruption + resume (the tentpole contract)
 # ----------------------------------------------------------------------
 class TestInterruptAndResume:
-    def test_parent_signal_drains_and_resume_is_exactly_once(
-            self, cache_dir, fake_executor):
+    def _drain_then_resume(self, jobs):
+        """SIGTERM after the third terminal outcome drains the run;
+        a resume finishes it bit-identical and exactly-once."""
         pts = _points(8)
         plan = FaultPlan([Fault(PARENT_SIGNAL, 3, signum=signal.SIGTERM)])
         with pytest.raises(SweepInterrupted) as exc:
-            run_sweep(pts, _config(), progress=None, fault_plan=plan,
-                      handle_signals=True)
+            run_sweep(pts, _config(jobs=jobs), progress=None,
+                      fault_plan=plan, handle_signals=True)
         assert exc.value.signum == signal.SIGTERM
         assert exc.value.exit_code == 128 + signal.SIGTERM
         run_id = exc.value.run_id
@@ -290,8 +290,9 @@ class TestInterruptAndResume:
         assert interrupted["status"] == "interrupted"
         assert interrupted["missing"]  # genuinely unfinished
 
-        report, journal = run_sweep(pts, _config(), progress=None,
-                                    resume=True, run_id=run_id,
+        report, journal = run_sweep(pts, _config(jobs=jobs),
+                                    progress=None, resume=True,
+                                    run_id=run_id,
                                     fault_plan=FaultPlan())
         assert journal.run_id == run_id and journal.segment == 2
         ref = _ref_states(pts)
@@ -303,6 +304,35 @@ class TestInterruptAndResume:
         assert summary["completed"] == len(pts)
         assert summary["missing"] == [] and summary["duplicates"] == []
         assert summary["segments"] == 2 and summary["status"] == "ok"
+
+    def test_parent_signal_drains_and_resume_is_exactly_once(
+            self, cache_dir, fake_executor):
+        self._drain_then_resume(jobs=1)
+
+    def test_parent_signal_drain_reaps_forked_workers(
+            self, cache_dir, monkeypatch):
+        # The eip points are slow enough that the drain (after three
+        # quick points) finds one still simulating.
+        def slow_fake(point, use_cache):
+            time.sleep(2.0 if point.prefetcher == "eip" else 0.1)
+            return _fake_run_serial(point, use_cache)
+
+        monkeypatch.setattr(sweep_mod, "_run_serial", slow_fake)
+        spawned = []
+        spawn = sweep_mod._spawn
+
+        def recording_spawn(*args, **kwargs):
+            live = spawn(*args, **kwargs)
+            spawned.append(live.proc)
+            return live
+
+        monkeypatch.setattr(sweep_mod, "_spawn", recording_spawn)
+        self._drain_then_resume(jobs=2)
+        # Both segments forked workers, the drain terminated the ones
+        # in flight, and none outlived its segment.
+        assert any(proc.exitcode == -signal.SIGTERM for proc in spawned)
+        assert all(proc.exitcode is not None for proc in spawned)
+        assert multiprocessing.active_children() == []
 
     def test_explicit_shutdown_request_interrupts(self, cache_dir,
                                                   fake_executor):
@@ -419,8 +449,7 @@ _CHILD_SCRIPT = textwrap.dedent("""
     points = [SweepPoint("mysql_sibench", pf, scale="tiny", seed=seed)
               for seed in (1, 2)
               for pf in (None, "eip", "mana", "hierarchical", "efetch")]
-    config = ServiceConfig(shards=2, jobs=1, inline=True,
-                           backoff_base=0.0)
+    config = ServiceConfig(jobs=1, backoff_base=0.0)
     print("ready", flush=True)
     run_sweep(points, config, progress=None)
 """)
@@ -491,78 +520,77 @@ class TestSigkillChaos:
 
 
 # ----------------------------------------------------------------------
-# Shard watchdog: pool deaths restart, repeated deaths degrade
+# Journals written by the v2 (sharded) scheduler
 # ----------------------------------------------------------------------
-class TestWatchdog:
-    def test_dead_pool_restarts_and_requeues(self, cache_dir,
-                                             fake_executor):
-        pts = _points(8)
-        plan = FaultPlan([Fault(SHARD_KILL, 0, times=2)])
-        report, journal = run_sweep(pts, _config(), progress=None,
-                                    fault_plan=plan)
+class TestV2Journal:
+    def _v2_run(self, points):
+        """A run interrupted under the v2 scheduler: meta.json with its
+        config, and a segment carrying shard keys and the kinds v3
+        dropped.  Point 0 completed, point 1 was requeued mid-flight."""
+        journal = RunJournal.create(points, _config())
+        meta = dict(journal.meta, config={
+            "shards": 2, "jobs": 1, "inline": True, "max_retries": 2,
+            "point_timeout": None, "keep_going": False,
+            "backoff_base": 0.0, "use_cache": True,
+            "heartbeat_interval": 5.0, "watchdog_timeout": None,
+            "max_pool_restarts": 2})
+        (journal.run_dir / "meta.json").write_text(json.dumps(meta))
+        _fake_run_serial(points[0], True)  # point 0's cache entry
+        label = points[0].label
+        records = [
+            {"event": "begin", "total": len(points), "cached": 0,
+             "preresolved": 0, "poisoned": 0, "shards": 2, "jobs": 1,
+             "inline": True, "run_id": journal.run_id, "segment": 1},
+            {"event": "scheduled", "index": 0, "label": label,
+             "attempt": 1, "shard": 0},
+            {"event": "heartbeat", "shard": 0, "incarnation": 1,
+             "live": 1, "outstanding": len(points)},
+            {"event": "completed", "index": 0, "label": label,
+             "attempt": 1, "shard": 0, "source": "sim",
+             "seconds": 0.001},
+            {"event": "scheduled", "index": 1,
+             "label": points[1].label, "attempt": 1, "shard": 1},
+            {"event": "pool_restarted", "shard": 1, "incarnation": 2,
+             "requeued": 1, "error": "ShardDiedError: injected"},
+            {"event": "requeued", "index": 1,
+             "label": points[1].label, "attempt": 1, "shard": 1},
+            {"event": "pool_retired", "shard": 1, "requeued": 0,
+             "remaining": 1, "error": "ShardDiedError: injected"},
+        ]
+        with JsonlEventLog(journal.segment_path(1)) as log:
+            for seq, record in enumerate(records, 1):
+                log({"v": 2, "seq": seq, **record})
+        return journal
+
+    def test_v2_kinds_tallied_as_unknown(self, cache_dir, capsys):
+        journal = self._v2_run(_points(3))
+        summary = summarize_events(read_run_events(journal.run_dir))
+        assert summary["unknown"] == {
+            "heartbeat": 1, "pool_restarted": 1, "pool_retired": 1,
+            "requeued": 1}
+        assert summary["completed"] == 1 and summary["missing"] == [1, 2]
+        assert main(["manifest", "events", str(journal.run_dir),
+                     "--check"]) == 1  # unfinished, not malformed
+        assert "unknown:" in capsys.readouterr().out
+
+    def test_v2_run_resumes_exactly_once(self, cache_dir, fake_executor,
+                                         capsys):
+        pts = _points(3)
+        journal = self._v2_run(pts)
+        report, resumed = run_sweep(pts, _config(), progress=None,
+                                    resume=True, fault_plan=FaultPlan())
+        assert resumed.run_id == journal.run_id
+        assert resumed.replay_preresolved == 1
         ref = _ref_states(pts)
-        assert len(report.results) == len(pts)
-        for result in report:
-            assert result.stats.state_dict() == ref[result.point.key()]
+        assert [r.stats.state_dict() for r in report] == \
+            [ref[p.key()] for p in pts]
         summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] == 2
-        assert summary["pool_retired"] == 0
-        assert summary["requeued"] >= 1
+        assert summary["completed"] == summary["total"] == 3
         assert summary["missing"] == [] and summary["duplicates"] == []
-
-    def test_repeated_deaths_retire_the_shard(self, cache_dir,
-                                              fake_executor):
-        pts = _points(8)
-        plan = FaultPlan([Fault(SHARD_KILL, 0)])  # every incarnation
-        report, journal = run_sweep(
-            pts, _config(max_pool_restarts=1), progress=None,
-            fault_plan=plan)
-        assert len(report.results) == len(pts)  # degraded, not failed
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] == 1
-        assert summary["pool_retired"] == 1
-        assert summary["missing"] == [] and summary["duplicates"] == []
-
-    def test_no_surviving_pool_raises(self, cache_dir, fake_executor):
-        pts = _points(4)
-        plan = FaultPlan([Fault(SHARD_KILL, 0), Fault(SHARD_KILL, 1)])
-        with pytest.raises(ShardDiedError):
-            serve_sweep(pts, _config(max_pool_restarts=0),
-                        progress=None, fault_plan=plan)
-
-    def test_stalled_heartbeat_detected(self, cache_dir, fake_executor,
-                                        monkeypatch):
-        """A shard whose loop stops beating (here: wedged on a blocking
-        call) is cancelled and requeued by the watchdog."""
-        import repro.experiments.service as service_mod
-
-        pts = _points(4)
-        original = service_mod._shard_loop
-        wedged = {"done": False}
-
-        async def wedge_shard_zero(shard, incarnation, *args, **kw):
-            if shard == 0 and not wedged["done"]:
-                wedged["done"] = True
-                import asyncio
-                await asyncio.sleep(30.0)  # beats stop: loop never runs
-            return await original(shard, incarnation, *args, **kw)
-
-        monkeypatch.setattr(service_mod, "_shard_loop", wedge_shard_zero)
-        report, journal = run_sweep(
-            pts, _config(watchdog_timeout=0.2), progress=None,
-            fault_plan=FaultPlan())
-        assert len(report.results) == len(pts)
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] >= 1
-        assert summary["missing"] == [] and summary["duplicates"] == []
-
-    def test_heartbeat_events_emitted(self, cache_dir, fake_executor):
-        pts = _points(4)
-        report, journal = run_sweep(
-            pts, _config(heartbeat_interval=0.0001), progress=None,
-            fault_plan=FaultPlan())
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["heartbeats"] >= 1
+        assert summary["segments"] == 2 and summary["status"] == "ok"
+        assert main(["manifest", "events", str(journal.run_dir),
+                     "--check"]) == 0
+        assert "unknown:   1 heartbeat" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -643,9 +671,47 @@ class TestFollow:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_resume_requires_service_mode(self, capsys):
-        assert main(["sweep", "mysql_sibench", "--resume"]) == 2
-        assert "--resume requires" in capsys.readouterr().err
+    def test_resume_flag_grid_without_prior_run_fails_cleanly(
+            self, cache_dir, capsys):
+        assert main(["sweep", "mysql_sibench", "--scale", "tiny",
+                     "--resume"]) == 2
+        assert "no resumable run" in capsys.readouterr().err
+
+    def test_jobs_default_is_two_with_manifest_else_one(
+            self, cache_dir, fake_executor, tmp_path, capsys):
+        manifest = tmp_path / "m.toml"
+        manifest.write_text('[sweep]\nworkloads = ["mysql_sibench"]\n'
+                            'prefetchers = ["eip"]\nscale = "tiny"\n')
+        assert main(["sweep", "--manifest", str(manifest)]) == 0
+        assert "with --jobs 2:" in capsys.readouterr().out
+        assert main(["sweep", WORKLOAD, "--prefetchers", "eip",
+                     "--scale", "tiny"]) == 0
+        assert "with --jobs 1:" in capsys.readouterr().out
+
+    def test_flag_grid_drains_journals_and_resumes(
+            self, cache_dir, fake_executor, tmp_path, monkeypatch,
+            capsys):
+        argv = ["sweep", WORKLOAD, "--prefetchers", "eip", "mana",
+                "--scale", "tiny"]
+        events = tmp_path / "flag.jsonl"
+        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(
+            {"faults": [{"kind": "parent_signal", "point": 1,
+                         "signum": signal.SIGTERM}]}))
+        assert main(argv + ["--events", str(events)]) == \
+            128 + signal.SIGTERM
+        err = capsys.readouterr().err
+        assert "sweep interrupted: 1/3" in err
+        assert "--resume" in err
+        assert summarize_events(read_events(events))["status"] == \
+            "interrupted"
+
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        assert main(argv + ["--resume"]) == 0
+        assert "resumed: 1 completed point(s)" in capsys.readouterr().out
+        (run_dir,) = list_runs()
+        summary = summarize_events(read_run_events(run_dir))
+        assert summary["completed"] == summary["total"] == 3
+        assert summary["segments"] == 2 and summary["duplicates"] == []
 
     def test_resume_rejects_no_cache(self, tmp_path, capsys):
         manifest = tmp_path / "m.toml"

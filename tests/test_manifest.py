@@ -281,10 +281,6 @@ class TestCli:
         assert main(["sweep", "beego", "--manifest", str(path)]) == 2
         assert "--manifest already defines" in capsys.readouterr().err
 
-    def test_sweep_events_requires_service(self, capsys):
-        assert main(["sweep", "beego", "--events", "x.jsonl"]) == 2
-        assert "--events requires" in capsys.readouterr().err
-
     def test_sweep_rejects_invalid_manifest(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"sweep": {"workloads": ["nope"]}}))

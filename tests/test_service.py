@@ -1,35 +1,34 @@
-"""The sharded sweep service (docs/SWEEP_SERVICE.md).
+"""The sweep supervisor and its event stream (docs/SWEEP_SERVICE.md).
 
 Contracts under test:
 
-* service sweeps are bit-identical to a serial ``sweep()`` of the same
-  points (real worker processes and the inline thread path alike);
-* the WorkUnit/WorkOutcome protocol round-trips through its flat spec
-  form (the remote-worker seam);
+* ``serve_sweep`` with forked workers (``jobs >= 2``) is bit-identical
+  to an in-process ``sweep()`` of the same points;
+* settings are validated in one place, and every non-``ok`` outcome
+  maps to the error taxonomy through one function, so a failure reads
+  the same whatever ``jobs`` is;
 * the JSONL progress stream accounts for every point — scheduled,
   completed (cache hits included), retried, failed;
-* the PR-4 retry/backoff/keep-going semantics ride along unchanged;
-* the ISSUE acceptance grid: a 1,200-point manifest completes through
-  the service under injected crash/hang/truncate faults, survivors
-  bit-identical to the fault-free serial run.
+* retry/backoff/keep-going semantics;
+* the acceptance grid: a 1,200-point manifest completes under
+  injected crash/hang/truncate faults, survivors bit-identical to the
+  fault-free serial run.
 """
 
+import dataclasses
 import hashlib
 import importlib
-import json
 
 import pytest
 
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
-from repro.experiments.errors import PointFailure
+from repro.experiments.errors import InvalidConfigError, PointFailure
 from repro.experiments.faults import CRASH, ERROR, HANG, Fault, FaultPlan
 from repro.experiments.manifest import parse_manifest
 from repro.experiments.service import (
     JsonlEventLog,
     ServiceConfig,
-    WorkOutcome,
-    WorkUnit,
     format_events_summary,
     read_events,
     serve_sweep,
@@ -77,47 +76,77 @@ def _clean_states():
 
 
 # ----------------------------------------------------------------------
-# Protocol round-trips
+# Settings and the outcome → taxonomy mapping
 # ----------------------------------------------------------------------
-class TestProtocol:
-    def test_work_unit_spec_round_trip(self):
-        unit = WorkUnit(3, 2, SweepPoint(WORKLOAD, "eip", scale="tiny",
-                                         seed=7))
-        spec = json.loads(json.dumps(unit.to_spec()))
-        again = WorkUnit.from_spec(spec)
-        assert again == unit
-        assert again.point.key() == unit.point.key()
-
-    def test_work_outcome_spec_round_trip(self):
-        for outcome in (
-            WorkOutcome(0, 1, "ok", stats_state={"instructions": 5},
-                        source="sim", seconds=1.5),
-            WorkOutcome(1, 2, "crash", exitcode=73, message="died"),
-            WorkOutcome(2, 3, "timeout", timeout=10.0, message="slow"),
-            WorkOutcome(3, 1, "transient", message="flaky"),
-        ):
-            spec = json.loads(json.dumps(outcome.to_spec()))
-            assert WorkOutcome.from_spec(spec) == outcome
-
-    def test_outcome_errors_follow_taxonomy(self):
-        from repro.experiments.errors import (
-            PointTimeoutError,
-            TransientError,
-            WorkerCrashError,
-        )
-
-        assert isinstance(WorkOutcome(0, 1, "crash").to_error("x"),
-                          WorkerCrashError)
-        assert isinstance(WorkOutcome(0, 1, "timeout").to_error("x"),
-                          PointTimeoutError)
-        assert isinstance(WorkOutcome(0, 1, "transient").to_error("x"),
-                          TransientError)
-
+class TestConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(shards=0)
         with pytest.raises(ValueError):
             ServiceConfig(jobs=0)
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"shards": 2}, "shards must be 1"),
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+        ({"point_timeout": 0.0}, "point_timeout must be > 0"),
+        ({"point_timeout": -1.0}, "point_timeout must be > 0"),
+        ({"backoff_base": -0.5}, "backoff_base must be >= 0"),
+    ])
+    def test_bad_settings_rejected(self, kwargs, needle):
+        with pytest.raises(InvalidConfigError, match=needle):
+            ServiceConfig(**kwargs)
+
+    def test_shards_is_constructor_only(self):
+        config = ServiceConfig(shards=1, jobs=2)
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "jobs", "max_retries", "point_timeout", "keep_going",
+            "backoff_base", "use_cache"]
+        assert "shards" not in dataclasses.asdict(config)
+
+    def test_invalid_sweep_arguments_raise(self):
+        with pytest.raises(InvalidConfigError, match="jobs"):
+            sweep(_points(), jobs=0, progress=None)
+
+
+class TestOutcomeMapping:
+    def test_outcome_errors_follow_taxonomy(self):
+        from repro.experiments.errors import (
+            ExperimentError,
+            PointTimeoutError,
+            TransientError,
+            WorkerCrashError,
+        )
+
+        crash = sweep_mod._outcome_error(("crash", 73), "x")
+        assert isinstance(crash, WorkerCrashError)
+        assert crash.exitcode == 73 and "exit code 73" in str(crash)
+        timeout = sweep_mod._outcome_error(("timeout", 5.0), "x")
+        assert isinstance(timeout, PointTimeoutError)
+        assert timeout.timeout == 5.0
+        assert isinstance(sweep_mod._outcome_error(("timeout", None), "x"),
+                          PointTimeoutError)
+        assert isinstance(sweep_mod._outcome_error(("transient", "t"), "x"),
+                          TransientError)
+        error = sweep_mod._outcome_error(("error", "ValueError: bad"), "x")
+        assert type(error) is ExperimentError
+        assert str(error) == "ValueError: bad"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_simulation_error_reported_alike_for_any_jobs(
+            self, cache_dir, monkeypatch, jobs):
+        """A deterministic simulation error is one failure record,
+        whether the point ran in-process or in a forked worker."""
+        def boom(point, use_cache):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(sweep_mod, "_run_serial", boom)
+        report = sweep(_points()[:1], jobs=jobs, use_cache=False,
+                       progress=None, keep_going=True,
+                       backoff_base=0.0, fault_plan=FaultPlan())
+        (failure,) = report.failures
+        assert failure.kind == "error"
+        assert failure.message == "ValueError: boom"
+        assert failure.attempts == 1
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +158,7 @@ class TestBitIdentity:
         with JsonlEventLog(events) as log:
             report = serve_sweep(
                 _points(),
-                ServiceConfig(shards=2, jobs=1, use_cache=False),
+                ServiceConfig(jobs=2, use_cache=False),
                 events=log, progress=None, fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _clean_states()
@@ -144,7 +173,7 @@ class TestBitIdentity:
         with JsonlEventLog(events) as log:
             report = serve_sweep(
                 _points(),
-                ServiceConfig(shards=2, jobs=1, use_cache=False),
+                ServiceConfig(jobs=2, use_cache=False),
                 events=log, progress=None, fault_plan=plan)
         assert report.ok
         assert _states(report) == _clean_states()
@@ -158,7 +187,7 @@ class TestBitIdentity:
         runner.clear_run_cache()  # drop memory layer; keep disk
         events = tmp_path / "events.jsonl"
         with JsonlEventLog(events) as log:
-            report = serve_sweep(_points(), ServiceConfig(shards=2),
+            report = serve_sweep(_points(), ServiceConfig(),
                                  events=log, progress=None,
                                  fault_plan=FaultPlan())
         assert report.ok
@@ -167,13 +196,13 @@ class TestBitIdentity:
         assert all(e["event"] != "scheduled" for e in raw)
         completed = [e for e in raw if e["event"] == "completed"]
         assert {e["source"] for e in completed} == {"disk"}
-        assert all(e["shard"] is None for e in completed)
+        assert all(e["attempt"] == 0 for e in completed)
 
     def test_fail_fast_raises_point_failure(self, cache_dir):
         plan = FaultPlan([Fault(ERROR, f"{WORKLOAD}/eip")])  # persistent
         with pytest.raises(PointFailure) as exc:
             serve_sweep(_points(),
-                        ServiceConfig(shards=2, jobs=1, use_cache=False,
+                        ServiceConfig(jobs=2, use_cache=False,
                                       max_retries=0, backoff_base=0.0),
                         progress=None, fault_plan=plan)
         assert exc.value.kind == "transient"
@@ -206,8 +235,8 @@ class TestEvents:
         assert "MISSING" in format_events_summary(summary)
 
     def test_unknown_kind_counted_not_fatal(self):
-        # A v3 writer's stream: the extra kind must be tallied for
-        # visibility, never crash the v2 reader or skew accounting.
+        # A newer writer's stream: the extra kind must be tallied for
+        # visibility, never crash this reader or skew accounting.
         summary = summarize_events([
             {"event": "begin", "total": 1},
             {"event": "speculative", "index": 0, "depth": 4},
@@ -288,15 +317,16 @@ class TestEvents:
             raise RuntimeError("sink down")
 
         report = serve_sweep(
-            _points(), ServiceConfig(shards=1, jobs=1, use_cache=False),
+            _points(), ServiceConfig(jobs=1, use_cache=False),
             events=exploding_sink, progress=None, fault_plan=FaultPlan())
         assert report.ok
 
 
 # ----------------------------------------------------------------------
-# The 1,200-point acceptance grid (fake executor: the scheduler,
-# retry engine, cache layers, and event stream are all real — only the
-# simulation itself is synthesized, deterministically per point key)
+# The 1,200-point acceptance grid, in-process (fake executor: the
+# loop, retry engine, cache layers, and event stream are all real —
+# only the simulation itself is synthesized, deterministically per
+# point key)
 # ----------------------------------------------------------------------
 def _fake_run_serial(point, use_cache):
     digest = hashlib.sha256(point.key().encode("utf-8")).hexdigest()
@@ -353,8 +383,8 @@ class TestAcceptanceScale:
         with JsonlEventLog(events) as log:
             report = serve_sweep(
                 points,
-                ServiceConfig(shards=4, jobs=8, inline=True,
-                              keep_going=True, backoff_base=0.0),
+                ServiceConfig(jobs=1, keep_going=True,
+                              backoff_base=0.0),
                 events=log, progress=None, fault_plan=plan)
 
         # Survivors: everything except the persistently hung point,
@@ -384,8 +414,8 @@ class TestAcceptanceScale:
         with JsonlEventLog(events2) as log:
             again = serve_sweep(
                 points,
-                ServiceConfig(shards=4, jobs=8, inline=True,
-                              keep_going=True, backoff_base=0.0),
+                ServiceConfig(jobs=1, keep_going=True,
+                              backoff_base=0.0),
                 events=log, progress=None, fault_plan=FaultPlan())
         assert again.ok and len(again) == 1200
         for result in again:
