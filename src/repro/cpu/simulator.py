@@ -3,7 +3,8 @@
 The commit loop walks the basic-block trace once.  Per committed block:
 
 1. the FDIP front end advances its runahead pointer (issuing FTQ
-   prefetches, evaluating branch predictions in trace order);
+   prefetches, stopping where the trace's branch oracle records a
+   mispredict or BTB miss);
 2. the I-TLB translates the block's page (stalling on a walk);
 3. the demand fetch of the block's cache line(s) goes to the hierarchy
    (stalling for residual fill latency on a miss);
@@ -12,9 +13,9 @@ The commit loop walks the basic-block trace once.  Per committed block:
 5. the attached instruction prefetcher observes the commit.
 
 The model is deterministic and warmup-aware: statistics are reset at the
-warmup boundary while all microarchitectural state (caches, predictors,
-prefetcher metadata) persists — mirroring the paper's 100M-warmup /
-100M-measure methodology at reduced scale.
+warmup boundary while all microarchitectural state (caches, runahead
+position, prefetcher metadata) persists — mirroring the paper's
+100M-warmup / 100M-measure methodology at reduced scale.
 
 The machine is composed of :class:`~repro.cpu.component.SimComponent`
 models held in a :class:`~repro.cpu.component.ComponentRegistry`; the
@@ -345,6 +346,7 @@ class FrontEndSimulator(SimComponent):
         stats.stall_itlb += stall_itlb
         stats.stall_fetch += stall_fetch
         stats.stall_mispredict += stall_mispredict
+        frontend.flush_branch_stats()
         self.now = now
         # Derived from next_index; load_state_dict recomputes it.
         self.commit_index = (  # lint: ephemeral

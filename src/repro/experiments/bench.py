@@ -12,6 +12,9 @@ Benchmarks
 
 ``hot_loop``
     The FDIP-only commit loop — the simulator's end-to-end hot path.
+    Like the trace build, the trace's branch-oracle build is a one-off
+    per trace: it is timed separately (``timings.branch_oracle``) and
+    not part of the per-run seconds.
 ``hierarchy``
     The cache/TLB hierarchy driven by a synthetic demand/prefetch
     address stream (no trace, no front end).
@@ -33,7 +36,9 @@ of the two runs.  Every artifact embeds a ``calibration_seconds``
 measurement of a fixed pure-Python spin loop taken in the same process;
 when both sides carry one, medians are normalized by it first, which
 cancels most machine-speed difference between the runner that committed
-the baseline and the runner executing CI.
+the baseline and the runner executing CI.  Timings are only compared
+for the same work: a benchmark whose ``stats_digest`` differs from the
+baseline's fails the comparison as "different work / baseline stale".
 """
 
 from __future__ import annotations
@@ -119,12 +124,15 @@ def _artifact(name: str, quick: bool, seconds: List[float], work: int,
 # ----------------------------------------------------------------------
 # Trace-driven benchmarks
 # ----------------------------------------------------------------------
-def _timed_sim(prefetcher: Optional[str], scale: str,
-               probe_interval: int) -> Tuple[float, float, float,
-                                             List[float], object]:
-    """One cold simulator run; returns (build, warmup, measure seconds,
-    per-chunk wall times from the probe bus, final SimStats)."""
+def _timed_sim(prefetcher: Optional[str], scale: str, probe_interval: int
+               ) -> Tuple[float, float, float, float, List[float], object,
+                          int]:
+    """One cold simulator run; returns (trace build, branch-oracle
+    build, warmup, measure seconds, per-chunk wall times from the probe
+    bus, final SimStats, instructions simulated).  The trace and its
+    branch oracle are memoized, so only the first run builds them."""
     from repro.cpu.simulator import FrontEndSimulator
+    from repro.frontend.fdip import branch_oracle
     from repro.prefetchers import make_prefetcher
     from repro.workloads.cache import get_trace
 
@@ -134,6 +142,9 @@ def _timed_sim(prefetcher: Optional[str], scale: str,
 
     pf = make_prefetcher(prefetcher) if prefetcher else None
     sim = FrontEndSimulator(prefetcher=pf, probe_interval=probe_interval)
+    t0 = time.perf_counter()
+    branch_oracle(trace, sim.config.frontend)
+    t_oracle = time.perf_counter() - t0
     chunks: List[float] = []
     last = [0.0]
 
@@ -149,7 +160,8 @@ def _timed_sim(prefetcher: Optional[str], scale: str,
     last[0] = t1
     stats = sim.measure()
     t_meas = time.perf_counter() - t1
-    return t_build, t1 - t0, t_meas, chunks, stats
+    return (t_build, t_oracle, t1 - t0, t_meas, chunks, stats,
+            trace.n_instructions)
 
 
 def _run_trace_bench(name: str, prefetcher: Optional[str], quick: bool,
@@ -161,15 +173,18 @@ def _run_trace_bench(name: str, prefetcher: Optional[str], quick: bool,
     stats_digest = ""
     work = 0
     for r in range(repeats):
-        build, warm, meas, chunks, stats = _timed_sim(
+        build, oracle, warm, meas, chunks, stats, simulated = _timed_sim(
             prefetcher, scale, probe_interval
         )
         seconds.append(warm + meas)
         if r == 0:
-            work = int(stats.instructions)
+            # Warmup and measure both simulate: the throughput numerator
+            # is every instruction of the trace, not the measured window.
+            work = simulated
             stats_digest = _digest(stats.state_dict())
             timings = {
                 "trace_build": build,
+                "branch_oracle": oracle,
                 "warmup": warm,
                 "measure": meas,
                 "probe_chunks": chunks,
@@ -456,7 +471,7 @@ def compare_dirs(base_dir: os.PathLike, new_dir: os.PathLike,
 
     Returns ``(rows, problems)``: a display row per benchmark present in
     the base set, and a list of human-readable regression/missing/
-    corrupt-artifact messages (empty = pass).
+    stale-digest/corrupt-artifact messages (empty = pass).
     """
     problems: List[str] = []
 
@@ -482,6 +497,14 @@ def compare_dirs(base_dir: os.PathLike, new_dir: os.PathLike,
             problems.append(
                 f"{name}: artifacts are not comparable "
                 f"(quick/workload/scale differ)"
+            )
+            continue
+        if base.get("stats_digest") != new.get("stats_digest"):
+            rows.append([name, "-", "-", "-", "-", "STALE"])
+            problems.append(
+                f"{name}: stats_digest {new.get('stats_digest')} != "
+                f"baseline {base.get('stats_digest')} "
+                "(different work / baseline stale)"
             )
             continue
         delta, threshold, regressed = compare_artifacts(

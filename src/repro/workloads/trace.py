@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.binary import Function
 from repro.isa.instructions import BranchKind, INSTR_BYTES
@@ -43,6 +43,10 @@ class Trace:
     consumer of the commit stream (the simulator's hot loop, the FDIP
     runahead, commit-driven prefetchers) indexes them instead of
     re-deriving cache-block and page indices per committed block.
+
+    ``branch_oracles`` memoizes the FDIP front end's branch outcomes per
+    predictor geometry (see :func:`repro.frontend.fdip.branch_oracle`),
+    so they live exactly as long as the trace.
     """
 
     def __init__(self) -> None:
@@ -69,6 +73,7 @@ class Trace:
         self._block1: Optional[List[int]] = None
         self._page: Optional[List[int]] = None
         self._term: Optional[List[int]] = None
+        self.branch_oracles: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return len(self.pc)

@@ -89,6 +89,19 @@ def test_quick_stats_deterministic_across_runs():
         assert a["work"] == b["work"]
 
 
+def test_trace_bench_throughput_counts_every_simulated_instruction():
+    from repro.workloads.cache import get_trace
+
+    (art,) = bench.run_benchmarks(["hot_loop"], quick=True, repeats=1)
+    trace = get_trace(bench.BENCH_WORKLOAD, scale="tiny",
+                      seed=bench.BENCH_SEED)
+    # The seconds cover warmup + measure, so the work must too.
+    assert art["work"]["amount"] == trace.n_instructions
+    assert art["throughput"]["per_second"] == pytest.approx(
+        trace.n_instructions / art["median_seconds"])
+    assert art["timings"]["branch_oracle"] >= 0.0
+
+
 # ----------------------------------------------------------------------
 # Compare mode
 # ----------------------------------------------------------------------
@@ -161,6 +174,24 @@ def test_compare_dirs_tolerates_unreadable_artifacts(tmp_path):
     # still compared (the truncated side then also shows as missing).
     assert any("unreadable artifact" in p for p in problems)
     assert any(r[0] == "hot_loop" for r in rows)
+
+
+def test_compare_dirs_fails_on_digest_mismatch(tmp_path):
+    base_dir = tmp_path / "base"
+    new_dir = tmp_path / "new"
+    bench.write_artifact(_artifact("hot_loop", 1.0), base_dir)
+    bench.write_artifact(_artifact("hierarchy", 1.0), base_dir)
+    # Same timing, different simulated work.
+    bench.write_artifact(_artifact("hot_loop", 1.0, stats_digest="1" * 16),
+                         new_dir)
+    bench.write_artifact(_artifact("hierarchy", 1.0), new_dir)
+    rows, problems = bench.compare_dirs(base_dir, new_dir, 0.15)
+    assert [r[-1] for r in rows] == ["ok", "STALE"]
+    assert problems == [
+        f"hot_loop: stats_digest {'1' * 16} != baseline {'0' * 16} "
+        "(different work / baseline stale)"
+    ]
+    assert main(["bench", "compare", str(base_dir), str(new_dir)]) == 1
 
 
 def test_compare_cli_exit_codes(tmp_path):

@@ -1,5 +1,7 @@
 """Unit tests for the FDIP decoupled front-end model."""
 
+import pytest
+
 from repro.cpu.stats import SimStats
 from repro.frontend.fdip import (
     FDIPFrontEnd,
@@ -69,6 +71,7 @@ class TestBranchHandling:
         trace = self._cond_trace(taken=False)
         fdip, hier, stats = make_fdip(trace)
         fdip.advance(0, 0.0)
+        fdip.flush_branch_stats()
         assert stats.btb_lookups == 0
 
     def test_blocked_until_commit_then_resumes(self):
@@ -98,6 +101,7 @@ class TestBranchHandling:
         fdip, hier, stats = make_fdip(trace)
         for i in range(len(trace)):
             fdip.advance(i, float(i))
+        fdip.flush_branch_stats()
         assert stats.returns == 1
         assert stats.ras_mispredicts == 0
 
@@ -108,6 +112,7 @@ class TestBranchHandling:
         trace = asm.build()
         fdip, hier, stats = make_fdip(trace)
         fdip.advance(0, 0.0)
+        fdip.flush_branch_stats()
         assert stats.ras_mispredicts == 1
 
     def test_warm_btb_no_penalty(self):
@@ -136,9 +141,110 @@ class TestBranchHandling:
         fdip, hier, stats = make_fdip(trace)
         for i in range(len(trace)):
             fdip.advance(i, float(i))
+        fdip.flush_branch_stats()
         assert stats.indirect_branches == 1
 
     def test_infinite_btb_param(self):
-        trace = linear_trace(8)
-        fdip, hier, stats = make_fdip(trace, btb_entries=None)
-        assert fdip.btb.infinite
+        # 32 distinct direct jumps, three passes: a 16-entry BTB keeps
+        # missing, an infinite one misses only on the first pass.
+        asm = TraceAssembler()
+        for _ in range(3):
+            for j in range(32):
+                pc = 0x400000 + j * 0x40
+                asm.add(pc, 4, BranchKind.JUMP, taken=True,
+                        target=0x400000 + (j + 1) % 32 * 0x40)
+        trace = asm.build()
+        misses = {}
+        for entries in (16, None):
+            fdip, hier, stats = make_fdip(trace, btb_entries=entries)
+            for i in range(len(trace)):
+                fdip.advance(i, float(i))
+            fdip.flush_branch_stats()
+            misses[entries] = stats.btb_misses
+        assert misses == {16: 96, None: 32}
+
+
+def _run(trace, cfg, **frontend):
+    from repro.cpu.simulator import simulate
+
+    cfg = cfg.replace(**{f"frontend.{k}": v for k, v in frontend.items()})
+    return simulate(trace, config=cfg)
+
+
+class TestBranchOracle:
+    """Predictions are computed once per (trace, predictor geometry)."""
+
+    def test_memo_keyed_by_predictor_geometry(self, micro_app, micro_cfg):
+        trace = micro_app.trace(n_requests=12, seed=3)
+        runs = [{"btb_entries": 8192}, {"btb_entries": None},
+                {"btb_entries": 8192}, {"ftq_entries": 8},
+                {"ftq_entries": 24}]
+        for frontend in runs:
+            fresh = micro_app.trace(n_requests=12, seed=3)
+            assert _run(trace, micro_cfg, **frontend) == \
+                _run(fresh, micro_cfg, **frontend)
+        # The FTQ depth is timing, not geometry: one oracle serves both.
+        assert set(trace.branch_oracles) == {(8192, 8, 32), (None, 8, 32)}
+
+    def test_measured_counters_come_from_the_oracle(self, micro_trace,
+                                                    micro_cfg):
+        from repro.cpu.simulator import FrontEndSimulator
+
+        sim = FrontEndSimulator(config=micro_cfg)
+        sim.warmup(micro_trace)
+        start = sim.frontend._ptr  # the runahead at measurement start
+        stats = sim.measure()
+        assert stats.cond_branches > 0 and stats.btb_misses > 0
+        oracle = micro_trace.branch_oracles[(8192, 8, 32)]
+        counts = oracle.counts(start, len(micro_trace))
+        assert counts == {name: getattr(stats, name) for name in counts}
+
+    def test_simulator_allocates_no_predictors(self, micro_trace,
+                                               micro_cfg, monkeypatch):
+        from repro.cpu.simulator import FrontEndSimulator
+        from repro.frontend import (BranchTargetBuffer, ITTagePredictor,
+                                    ReturnAddressStack, TagePredictor)
+
+        expected = _run(micro_trace, micro_cfg)  # memoizes the oracle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predictor allocated")
+
+        for cls in (BranchTargetBuffer, ITTagePredictor,
+                    ReturnAddressStack, TagePredictor):
+            monkeypatch.setattr(cls, "__init__", forbidden)
+        sim = FrontEndSimulator(config=micro_cfg)
+        assert sim.run(micro_trace) == expected
+        assert FDIPFrontEnd._STATE_FIELDS == ("penalties", "ptr",
+                                              "blocked_at")
+        assert set(sim.frontend.state_dict()) == {"penalties", "ptr",
+                                                  "blocked_at"}
+
+    def test_unknown_branch_kind_names_trace_index(self):
+        asm = TraceAssembler().linear(0x400000, 3)
+        asm.add(0x400100, 4, 99, taken=True, target=0x400000)
+        trace = asm.build()
+        with pytest.raises(ValueError, match="trace index 3"):
+            make_fdip(trace)
+        assert trace.branch_oracles == {}  # nothing half-built is kept
+
+
+def test_simulation_path_does_not_import_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, REPRO_DISK_CACHE="0",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "from repro.experiments.runner import run_prefetcher\n"
+        "run_prefetcher('mysql_sibench', 'hierarchical', scale='tiny',\n"
+        "               use_cache=False)\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -324,6 +324,36 @@ class TestWarmupCheckpoint:
         assert s.warmup_hits == 0 and s.simulations == 1
         assert warm == cold  # fell back to a correct cold run
 
+    def test_old_fdip_layout_checkpoint_falls_back_cold(self, cache_dir):
+        # Before the branch oracle, the front end snapshotted its live
+        # predictors.  Such a checkpoint must be rejected as stale and
+        # the run must fall back to a cold warmup with equal stats.
+        from repro.cpu.component import check_state_fields
+        from repro.frontend import (BranchTargetBuffer, FDIPFrontEnd,
+                                    FrontEndParams, ITTagePredictor,
+                                    ReturnAddressStack, TagePredictor)
+
+        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        (path,) = diskcache.get_warmup_cache().entries()
+        payload = _read_payload(path)
+        frontend = payload["state"]["components"]["frontend"]
+        frontend.update(btb=BranchTargetBuffer().state_dict(),
+                        tage=TagePredictor().state_dict(),
+                        ittage=ITTagePredictor().state_dict(),
+                        ras=ReturnAddressStack().state_dict())
+        _write_payload(path, payload)
+        with pytest.raises(ValueError, match="stale FDIPFrontEnd state"):
+            check_state_fields(FDIPFrontEnd(FrontEndParams(), SimStats()),
+                               frontend, FDIPFrontEnd._STATE_FIELDS)
+        clear_run_cache()
+        diskcache.get_cache().clear()
+        reset_run_cache_stats()
+        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        s = run_cache_stats()
+        assert s.warmup_hits == 0 and s.simulations == 1
+        assert s.warmup_writes == 1  # a current-layout checkpoint again
+        assert warm == cold
+
     def test_truncated_checkpoint_falls_back_cold(self, cache_dir):
         # A half-written (killed process) checkpoint file: the disk
         # layer quarantines it and the run degrades to a cold warmup
