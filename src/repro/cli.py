@@ -664,15 +664,12 @@ def cmd_cache(args) -> int:
     from repro.experiments import diskcache
 
     cache = diskcache.get_cache()
-    warmup = diskcache.get_warmup_cache()
     if args.action == "info":
-        for title, store in (("results", cache), ("warmup", warmup)):
-            s = store.stats()
-            print(f"{title}: {s['entries']} entries, {s['bytes']} bytes, "
-                  f"{s['legacy']} legacy flat, {s['quarantined']} "
-                  f"quarantined, {s['shard_dirs']} shard dir(s) "
-                  f"[{s['root']}]")
         s = cache.stats()
+        print(f"results: {s['entries']} entries, {s['bytes']} bytes, "
+              f"{s['legacy']} legacy flat, {s['quarantined']} "
+              f"quarantined, {s['shard_dirs']} shard dir(s) "
+              f"[{s['root']}]")
         if s["free_bytes"] is not None:
             floor = s["min_free_bytes"]
             print(f"volume: {s['free_bytes'] / 1e6:.0f} MB free "
@@ -680,10 +677,8 @@ def cmd_cache(args) -> int:
                   "REPRO_CACHE_MIN_FREE)")
         return 0
     if args.action == "compact":
-        for title, store in (("results", cache), ("warmup", warmup)):
-            report = store.compact(
-                purge_quarantined=not args.keep_quarantined)
-            print(f"{title}: {report.describe()}")
+        report = cache.compact(purge_quarantined=not args.keep_quarantined)
+        print(f"results: {report.describe()}")
         return 0
     # action == "clear"
     from repro.experiments import runner

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 
 #: Cache blocks covered by one spatial region (paper value).
 REGION_BLOCKS = 32
@@ -150,23 +150,6 @@ class CompressionBuffer(SimComponent):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self.clear()
-
-    def state_dict(self) -> Dict[str, object]:
-        last = self._last_hit
-        return {
-            "entries": [(r.base, r.vector) for r in self._entries],
-            # _last_hit always aliases a live entry (or is None), so an
-            # index keeps the snapshot self-contained.
-            "last_hit": self._entries.index(last) if last is not None else -1,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("entries", "last_hit"))
-        self._entries = [
-            SpatialRegion(base, vector) for base, vector in state["entries"]
-        ]
-        idx = state["last_hit"]
-        self._last_hit = self._entries[idx] if idx >= 0 else None
 
     def stats_snapshot(self) -> Dict[str, float]:
         return {"occupancy": len(self._entries) / self.capacity}

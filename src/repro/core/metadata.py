@@ -14,7 +14,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from repro.core.compression import SpatialRegion
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 
 #: Spatial regions per segment (paper value).
 SEGMENT_REGIONS = 32
@@ -193,57 +193,6 @@ class MetadataBuffer(SimComponent):
         self.allocations = 0
         self.reclaims = 0
 
-    def state_dict(self) -> Dict[str, object]:
-        # A segment's ``regions`` list may be longer than ``n_valid``
-        # (superseding records truncate by lowering n_valid), so both
-        # are captured.
-        segs = []
-        for seg in self._segments:
-            if seg is None:
-                segs.append(None)
-            else:
-                segs.append({
-                    "bundle_id": seg.bundle_id,
-                    "regions": [(r.base, r.vector) for r in seg.regions],
-                    "num_insts": seg.num_insts,
-                    "next_seg": seg.next_seg,
-                    "n_valid": seg.n_valid,
-                })
-        return {
-            "segments": segs,
-            "next_alloc": self._next_alloc,
-            "allocations": self.allocations,
-            "reclaims": self.reclaims,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(
-            self, state, ("segments", "next_alloc", "allocations", "reclaims")
-        )
-        segs = state["segments"]
-        if len(segs) != self.n_segments:
-            raise ValueError(
-                f"snapshot has {len(segs)} segments, buffer has "
-                f"{self.n_segments}"
-            )
-        rebuilt: List[Optional[Segment]] = []
-        for index, saved in enumerate(segs):
-            if saved is None:
-                rebuilt.append(None)
-                continue
-            seg = Segment(index, saved["bundle_id"], saved["num_insts"])
-            seg.regions = [
-                SpatialRegion(base, vector)
-                for base, vector in saved["regions"]
-            ]
-            seg.next_seg = saved["next_seg"]
-            seg.n_valid = saved["n_valid"]
-            rebuilt.append(seg)
-        self._segments = rebuilt
-        self._next_alloc = state["next_alloc"]
-        self.allocations = state["allocations"]
-        self.reclaims = state["reclaims"]
-
     def stats_snapshot(self) -> Dict[str, float]:
         used = sum(1 for s in self._segments if s is not None)
         return {
@@ -335,11 +284,6 @@ class MetadataAddressTable(SimComponent):
         lru_bits = self.n_sets * self.assoc
         return self.n_entries * per_entry + lru_bits
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("sets", "hits", "misses", "evictions", "invalidations")
-
     def reset(self) -> None:
         for entries in self._sets:
             entries.clear()
@@ -347,30 +291,6 @@ class MetadataAddressTable(SimComponent):
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "sets": [list(entries.items()) for entries in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        sets = state["sets"]
-        if len(sets) != self.n_sets:
-            raise ValueError(
-                f"snapshot has {len(sets)} sets, MAT has {self.n_sets}"
-            )
-        for entries, saved in zip(self._sets, sets):
-            entries.clear()
-            entries.update(saved)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]
-        self.invalidations = state["invalidations"]
 
     def stats_snapshot(self) -> Dict[str, float]:
         lookups = self.hits + self.misses

@@ -1,33 +1,21 @@
-"""The unified simulation-component state protocol.
+"""The simulation-component protocol.
 
 Every stateful microarchitectural model in the simulator — caches, TLB,
 branch predictors, the FDIP front end, the memory hierarchy, every
 instruction prefetcher, and the statistics container — implements
-:class:`SimComponent`, a small torch-module-style protocol:
+:class:`SimComponent`:
 
 ``reset()``
     Return the component to its power-on state (geometry/configuration
     preserved, learned state dropped).
-``state_dict()``
-    A self-contained, picklable snapshot of *all* mutable state.  The
-    contract is exactness: loading the snapshot into a freshly
-    constructed component with the same configuration must reproduce
-    bit-identical future behavior.  Snapshots share no mutable
-    containers with the live component.
-``load_state_dict(state)``
-    Restore a ``state_dict()`` snapshot.  Strict: a snapshot whose
-    field set does not match the current implementation raises
-    ``ValueError`` so callers treat it as stale instead of silently
-    loading partial state.
 ``stats_snapshot()``
     A small flat dict of derived observability metrics (occupancy,
     hit rates, accuracy).  Cheap enough to call mid-run; consumed by
     the interval probe bus and the ``repro probe`` CLI.
 
 :class:`FrontEndSimulator` composes components through a
-:class:`ComponentRegistry` rather than hand-wired attributes, which is
-what makes whole-machine snapshots (the warmup checkpoint/resume path
-in :mod:`repro.experiments.runner`) a one-liner.
+:class:`ComponentRegistry` rather than hand-wired attributes, so
+whole-machine ``reset`` and ``stats_snapshot`` are one call each.
 """
 
 from __future__ import annotations
@@ -36,41 +24,15 @@ from typing import Dict, Iterator, Tuple, TypeVar
 
 
 class SimComponent:
-    """Base class for every snapshottable simulator component."""
+    """Base class for every stateful simulator component."""
 
     def reset(self) -> None:
         """Return to the power-on state (configuration preserved)."""
         raise NotImplementedError(f"{type(self).__name__}.reset")
 
-    def state_dict(self) -> Dict[str, object]:
-        """Self-contained snapshot of all mutable state."""
-        raise NotImplementedError(f"{type(self).__name__}.state_dict")
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot (strict)."""
-        raise NotImplementedError(f"{type(self).__name__}.load_state_dict")
-
     def stats_snapshot(self) -> Dict[str, float]:
         """Flat derived-metric snapshot for observability probes."""
         return {}
-
-
-def check_state_fields(component: SimComponent, state: Dict[str, object],
-                       expected) -> None:
-    """Reject snapshots whose field set differs from ``expected``.
-
-    Shared strictness helper: stale checkpoints (older/newer schema)
-    must fail loudly so callers fall back to a cold run rather than
-    resuming from partial state.
-    """
-    expected = set(expected)
-    got = set(state)
-    if expected != got:
-        raise ValueError(
-            f"stale {type(component).__name__} state "
-            f"(missing={sorted(expected - got)}, "
-            f"unknown={sorted(got - expected)})"
-        )
 
 
 C = TypeVar("C", bound=SimComponent)
@@ -84,9 +46,9 @@ class ComponentRegistry:
 
         self.hierarchy = registry.register("hierarchy", MemoryHierarchy(...))
 
-    The registry then provides whole-machine ``state_dict`` /
-    ``load_state_dict`` / ``reset`` / ``stats_snapshot`` by delegating
-    to every registered component in registration order.
+    The registry then provides whole-machine ``reset`` /
+    ``stats_snapshot`` by delegating to every registered component in
+    registration order.
     """
 
     def __init__(self) -> None:
@@ -124,23 +86,6 @@ class ComponentRegistry:
     def reset(self) -> None:
         for component in self._components.values():
             component.reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            name: component.state_dict()
-            for name, component in self._components.items()
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        expected = set(self._components)
-        got = set(state)
-        if expected != got:
-            raise ValueError(
-                f"component set mismatch (missing={sorted(expected - got)}, "
-                f"unknown={sorted(got - expected)})"
-            )
-        for name, component in self._components.items():
-            component.load_state_dict(state[name])
 
     def stats_snapshot(self) -> Dict[str, float]:
         out: Dict[str, float] = {}

@@ -12,8 +12,8 @@ each chunk through the unmodified hot loop, firing the bus only between
 chunks.  With probes disabled the measurement window is one chunk and
 the hot loop is untouched.
 
-Probes never fire during warmup, so warmup checkpoints (see
-:mod:`repro.experiments.runner`) are probe-configuration-independent.
+Probes never fire during warmup and only read the machine, so probing
+never changes the simulated timing.
 """
 
 from __future__ import annotations

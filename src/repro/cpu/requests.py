@@ -22,8 +22,8 @@ shallow copies ``SimStats.state_dict`` makes for the disk cache and the
 sweep engine's cross-process transport.
 
 Tracker state is *not* machine state: it is rebuilt from the trace and
-the commit position at every measurement start, so warmup checkpoints
-remain tracker-configuration-independent (mirroring the probe bus).
+the commit position at every measurement start, so enabling it never
+changes the simulated machine (mirroring the probe bus).
 """
 
 from __future__ import annotations
@@ -75,11 +75,10 @@ class RequestLatencyTracker:
               enabled: bool) -> None:
         """Arm the tracker for a measurement window.
 
-        Derives everything from ``trace`` and ``start_index`` so a
-        resumed-from-checkpoint run and a cold run see identical
-        boundaries.  Only requests that *start* inside the window are
-        measured (a request cut by the warmup boundary has no defined
-        latency).
+        Derives everything from ``trace`` and ``start_index``, so every
+        run of one trace sees identical boundaries.  Only requests that
+        *start* inside the window are measured (a request cut by the
+        warmup boundary has no defined latency).
         """
         self.active = False
         self.next_boundary = _NO_BOUNDARY

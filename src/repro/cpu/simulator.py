@@ -19,11 +19,9 @@ position, prefetcher metadata) persists — mirroring the paper's
 
 The machine is composed of :class:`~repro.cpu.component.SimComponent`
 models held in a :class:`~repro.cpu.component.ComponentRegistry`; the
-simulator is itself a ``SimComponent`` whose ``state_dict`` is a
-complete machine snapshot.  ``run`` splits into :meth:`warmup` /
-:meth:`measure`, with :meth:`resume` restoring a snapshot taken at the
-warmup boundary (the checkpoint path in
-:mod:`repro.experiments.runner`).  An optional
+simulator is itself a ``SimComponent`` whose ``reset`` re-arms the
+whole machine for another run.  ``run`` splits into :meth:`warmup` /
+:meth:`measure`.  An optional
 :class:`~repro.cpu.probes.ProbeBus` samples the machine every
 ``probe_interval`` measured instructions by pre-splitting the
 measurement window at probe boundaries — the hot loop itself is never
@@ -34,8 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.cpu.component import ComponentRegistry, SimComponent, \
-    check_state_fields
+from repro.cpu.component import ComponentRegistry, SimComponent
 from repro.cpu.config import DEFAULT_WARMUP, MachineConfig
 from repro.cpu.probes import ProbeBus
 from repro.cpu.requests import RequestLatencyTracker
@@ -84,8 +81,7 @@ class FrontEndSimulator(SimComponent):
         #: open-loop arrival process (``trace.request_gaps``); ``False``
         #: forces it off, ``True`` demands it (errors at measurement
         #: start if the trace has no arrivals).  Like the probe bus,
-        #: tracker state is measurement-local and excluded from machine
-        #: snapshots.
+        #: tracker state is measurement-local.
         self._track_requests = track_requests
         self.reqtrack = RequestLatencyTracker()
         self.now = 0.0
@@ -114,10 +110,8 @@ class FrontEndSimulator(SimComponent):
     def warmup(self, trace, warmup_fraction: float = DEFAULT_WARMUP) -> int:
         """Bind ``trace`` and run the warmup window.
 
-        Returns the warmup-end trace index.  The machine state at
-        return is exactly what :meth:`state_dict` should snapshot for a
-        warmup checkpoint; :meth:`measure` then runs the measured
-        window.
+        Returns the warmup-end trace index; :meth:`measure` then runs
+        the measured window.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -130,24 +124,11 @@ class FrontEndSimulator(SimComponent):
         self._next_index = warmup_end
         return warmup_end
 
-    def resume(self, trace, state: Dict[str, object]) -> "FrontEndSimulator":
-        """Bind ``trace`` and restore a machine snapshot.
-
-        The snapshot must come from a simulator with the same
-        configuration running the same trace (warmup checkpoints are
-        keyed accordingly).  A stale or mismatched snapshot raises
-        ``ValueError`` — callers fall back to a cold :meth:`warmup` on
-        a *fresh* simulator.
-        """
-        self._begin_run(trace)
-        self.load_state_dict(state)
-        return self
-
     def measure(self) -> SimStats:
         """Run from the current position to the end of the trace."""
         trace = self.trace
         if trace is None:
-            raise RuntimeError("no trace bound; call warmup() or resume()")
+            raise RuntimeError("no trace bound; call warmup() first")
         n = len(trace)
         if not self._measuring:
             self._begin_measurement()
@@ -196,9 +177,7 @@ class FrontEndSimulator(SimComponent):
             )
         if len(trace) == 0:
             raise ValueError("empty trace")
-        # Not machine state: resume()/_begin_run re-arm it before any
-        # snapshot is loaded, so checkpoints deliberately exclude it.
-        self._ran = True  # lint: ephemeral
+        self._ran = True
         self.trace = trace
         self.frontend.bind(trace, self.hierarchy, self.itlb,
                            self.config.core.itlb_prefetch)
@@ -348,8 +327,7 @@ class FrontEndSimulator(SimComponent):
         stats.stall_mispredict += stall_mispredict
         frontend.flush_branch_stats()
         self.now = now
-        # Derived from next_index; load_state_dict recomputes it.
-        self.commit_index = (  # lint: ephemeral
+        self.commit_index = (
             end - 1 if end > start else self.commit_index
         )
         self._last_block = last_block
@@ -358,10 +336,6 @@ class FrontEndSimulator(SimComponent):
     # ------------------------------------------------------------------
     # SimComponent protocol: the whole machine
     # ------------------------------------------------------------------
-    _STATE_FIELDS = ("now", "next_index", "last_block", "last_page",
-                     "measuring", "cycle0", "itlb_acc0", "itlb_miss0",
-                     "itlb_pfp0", "itlb_pfi0", "itlb_pfh0", "components")
-
     def reset(self) -> None:
         """Return the whole machine to power-on state for another run."""
         self.components.reset()
@@ -381,44 +355,6 @@ class FrontEndSimulator(SimComponent):
         self._itlb_pfh0 = 0
         self.probes.begin()
         self.reqtrack.reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        """Complete machine snapshot (components + commit position).
-
-        Probe samples are measurement-local observability output, not
-        machine state, and are deliberately excluded — a warmup
-        checkpoint is therefore probe-configuration-independent.
-        """
-        return {
-            "now": self.now,
-            "next_index": self._next_index,
-            "last_block": self._last_block,
-            "last_page": self._last_page,
-            "measuring": self._measuring,
-            "cycle0": self._cycle0,
-            "itlb_acc0": self._itlb_acc0,
-            "itlb_miss0": self._itlb_miss0,
-            "itlb_pfp0": self._itlb_pfp0,
-            "itlb_pfi0": self._itlb_pfi0,
-            "itlb_pfh0": self._itlb_pfh0,
-            "components": self.components.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.components.load_state_dict(state["components"])
-        self.now = state["now"]
-        self._next_index = state["next_index"]
-        self._last_block = state["last_block"]
-        self._last_page = state["last_page"]
-        self._measuring = state["measuring"]
-        self._cycle0 = state["cycle0"]
-        self._itlb_acc0 = state["itlb_acc0"]
-        self._itlb_miss0 = state["itlb_miss0"]
-        self._itlb_pfp0 = state["itlb_pfp0"]
-        self._itlb_pfi0 = state["itlb_pfi0"]
-        self._itlb_pfh0 = state["itlb_pfh0"]
-        self.commit_index = max(0, self._next_index - 1)
 
     def stats_snapshot(self) -> Dict[str, float]:
         out = self.components.stats_snapshot()

@@ -215,10 +215,7 @@ class SimStats(SimComponent):
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot *in place*.
 
-        In place matters: the hierarchy, front end and prefetchers all
-        hold references to this same ``SimStats`` object, so counters
-        must be loaded into it rather than replacing it.  Strict: a
-        state whose field set differs from the current class
+        Strict: a state whose field set differs from the current class
         (older/newer schema) raises ``ValueError`` so callers treat the
         payload as stale rather than silently loading partial counters.
         """

@@ -76,7 +76,7 @@ SCHEMA_VERSION = 1
 QUARANTINE_SUFFIX = ".corrupt"
 
 #: Shard directories are exactly two lowercase hex characters; nothing
-#: else under the root (``warmup``, stray files) is ever touched by
+#: else under the root (``runs``, stray files) is ever touched by
 #: compaction.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 
@@ -420,10 +420,8 @@ class DiskCache:
           (``purge_quarantined``, default on);
         * remove shard directories left empty.
 
-        ``warmup`` (the nested checkpoint store) and anything else that
-        is not a two-hex-char shard directory is never touched; run
-        ``compact()`` on :func:`get_warmup_cache` separately to GC
-        checkpoints.
+        ``runs`` (the run journals) and anything else that is not a
+        two-hex-char shard directory is never touched.
         """
         report = CompactReport()
         # Legacy flat entries: validate, then migrate or quarantine.
@@ -504,19 +502,6 @@ def get_cache() -> DiskCache:
     if _DEFAULT is None:
         _DEFAULT = DiskCache(default_cache_dir())
     return _DEFAULT
-
-
-def get_warmup_cache() -> DiskCache:
-    """Nested store for warmup machine checkpoints.
-
-    Rooted at ``<root>/warmup`` — its entry files sit two directory
-    levels below the main root, where the main store's ``entries()``
-    glob (``<root>/<shard>/*.pkl``) cannot see them, so result-cache
-    size accounting is unaffected.  Sharing the root means test
-    fixtures and ``REPRO_CACHE_DIR`` redirect both stores together, and
-    ``REPRO_DISK_CACHE=0`` disables both.
-    """
-    return DiskCache(get_cache().root / "warmup")
 
 
 def set_cache_dir(root: Optional[os.PathLike]) -> Optional[Path]:

@@ -15,7 +15,7 @@ be handled.  The hierarchy encodes the policy:
     (nonzero exit code / signal) and one that exceeded
     ``point_timeout`` and was terminated.
 ``CorruptArtifactError``
-    A persisted artifact (disk-cache entry, warmup checkpoint) failed
+    A persisted artifact (a disk-cache entry) failed
     checksum or decode validation.  Never raised across the cache API —
     the entry is quarantined, the failure is reported through
     :func:`repro.experiments.diskcache.add_corruption_listener`, and

@@ -180,8 +180,6 @@ class ReplayState:
     completed: Dict[int, dict]
     #: index → the ``failed`` event (terminal, retries exhausted).
     failed: Dict[int, dict]
-    #: Segments already on disk (= prior run attempts).
-    segments: int
 
 
 class RunJournal:
@@ -303,18 +301,14 @@ class RunJournal:
         one this journal writes."""
         completed: Dict[int, dict] = {}
         failed: Dict[int, dict] = {}
-        segments = 0
-        for segment in sorted(self.run_dir.glob(_SEGMENT_GLOB)):
-            segments += 1
-            for event in _dedup_segment(read_events(segment)):
-                kind = event.get("event")
-                if kind == "completed":
-                    completed[event["index"]] = event
-                    failed.pop(event["index"], None)
-                elif kind == "failed":
-                    failed[event["index"]] = event
-        return ReplayState(completed=completed, failed=failed,
-                           segments=segments)
+        for event in read_run_events(self.run_dir):
+            kind = event.get("event")
+            if kind == "completed":
+                completed[event["index"]] = event
+                failed.pop(event["index"], None)
+            elif kind == "failed":
+                failed[event["index"]] = event
+        return ReplayState(completed=completed, failed=failed)
 
     # -- the event sink ------------------------------------------------
     @property

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import PrefetchReport, compare_run
@@ -97,25 +98,6 @@ def _key(workload: str, scale: str, prefetcher: Optional[str],
     ])
 
 
-def _warmup_key(workload: str, scale: str, prefetcher: Optional[str],
-                pf_kwargs: Optional[dict], overrides: Optional[dict],
-                warmup: float, seed: int) -> str:
-    """Checkpoint key for the post-warmup machine snapshot.
-
-    Deliberately excludes ``track_block_misses``: the L2 miss map is
-    observability bookkeeping that is cleared at measurement start, so
-    runs that differ only in tracking share one warmup checkpoint —
-    which is exactly what lets a tracked re-run of an untracked point
-    skip its warmup.
-    """
-    def encode(obj):
-        return json.dumps(obj, sort_keys=True, default=str) if obj else ""
-    return "|".join([
-        "warmup", workload, scale, prefetcher or "fdip", encode(pf_kwargs),
-        encode(overrides), f"{warmup}", f"s{seed}", _config_fingerprint(),
-    ])
-
-
 def cache_key(
     workload: str,
     prefetcher: Optional[str],
@@ -143,13 +125,9 @@ class RunCacheStats:
     disk_hits: int = 0
     simulations: int = 0
     disk_writes: int = 0
-    #: Simulations that restored a warmup checkpoint instead of
-    #: re-running the warmup window.
-    warmup_hits: int = 0
-    warmup_writes: int = 0
-    #: On-disk entries (results or warmup checkpoints) that failed
-    #: checksum/decode validation and were quarantined (see
-    #: docs/RESILIENCE.md); each one degrades to a miss, never a crash.
+    #: On-disk result entries that failed checksum/decode validation
+    #: and were quarantined (see docs/RESILIENCE.md); each one degrades
+    #: to a miss, never a crash.
     cache_corrupt: int = 0
     #: Cache writes refused by the disk-space guard (the volume was
     #: nearly full); the result still flows, it just is not persisted.
@@ -262,36 +240,6 @@ def peek_cached(key: str) -> Optional[Tuple[SimStats, Optional[dict], str]]:
 
 
 # ----------------------------------------------------------------------
-# Warmup checkpoints
-# ----------------------------------------------------------------------
-def _warmup_load(wkey: str) -> Optional[dict]:
-    """Load a post-warmup machine snapshot, or None."""
-    if not diskcache.disk_cache_enabled():
-        return None
-    payload = diskcache.get_warmup_cache().get(wkey)
-    if payload is None:
-        return None
-    if payload.get("schema") != diskcache.SCHEMA_VERSION:
-        return None
-    if payload.get("key") != wkey:
-        return None
-    state = payload.get("state")
-    return state if isinstance(state, dict) else None
-
-
-def _warmup_store(wkey: str, state: dict) -> None:
-    if not diskcache.disk_cache_enabled():
-        return
-    payload = {
-        "schema": diskcache.SCHEMA_VERSION,
-        "key": wkey,
-        "state": state,
-    }
-    diskcache.get_warmup_cache().put(wkey, payload)
-    _STATS.warmup_writes += 1
-
-
-# ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
 def run_prefetcher(
@@ -329,40 +277,15 @@ def run_prefetcher(
         config = config.replace(**overrides)
     from repro.cpu.simulator import FrontEndSimulator
 
-    def build_sim() -> FrontEndSimulator:
-        pf = (
-            make_prefetcher(prefetcher, **(pf_kwargs or {}))
-            if prefetcher else None
-        )
-        return FrontEndSimulator(
-            config=config, prefetcher=pf,
-            track_block_misses=track_block_misses,
-        )
-
-    sim = build_sim()
-    resumed = False
-    wkey = None
-    if use_cache:
-        wkey = _warmup_key(workload, scale, prefetcher, pf_kwargs,
-                           overrides, warmup, seed)
-        state = _warmup_load(wkey)
-        if state is not None:
-            try:
-                sim.resume(trace, state)
-                resumed = True
-                _STATS.warmup_hits += 1
-            except Exception:
-                # Stale, mismatched, or corrupted checkpoint — whatever
-                # the load_state_dict path raised, a partial load may
-                # have corrupted the machine, so fall back to a cold
-                # warmup on a fresh simulator.  A checkpoint is an
-                # accelerator; it must never change (or abort) results.
-                sim = build_sim()
-    if not resumed:
-        sim.warmup(trace, warmup_fraction=warmup)
-        if use_cache:
-            _warmup_store(wkey, sim.state_dict())
-    stats = sim.measure()
+    pf = (
+        make_prefetcher(prefetcher, **(pf_kwargs or {}))
+        if prefetcher else None
+    )
+    sim = FrontEndSimulator(
+        config=config, prefetcher=pf,
+        track_block_misses=track_block_misses,
+    )
+    stats = sim.run(trace, warmup_fraction=warmup)
     miss_map = (
         dict(sim.hierarchy.l2_miss_map) if track_block_misses else None
     )
@@ -434,8 +357,14 @@ def perfect_l1i_speedup(workload: str, scale: str = "bench") -> float:
 
 def clear_run_cache(disk: bool = False) -> None:
     """Drop all cached simulation results (in-process; plus the on-disk
-    result and warmup-checkpoint stores when ``disk=True``)."""
+    result store when ``disk=True``).
+
+    ``disk=True`` also removes ``<cache root>/warmup/``, the
+    post-warmup checkpoint store older revisions wrote and nothing
+    reads any more.
+    """
     _CACHE.clear()
     if disk and diskcache.disk_cache_enabled():
-        diskcache.get_cache().clear()
-        diskcache.get_warmup_cache().clear()
+        cache = diskcache.get_cache()
+        cache.clear()
+        shutil.rmtree(cache.root / "warmup", ignore_errors=True)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
 from repro.frontend.ras import ReturnAddressStack
@@ -215,13 +215,11 @@ class FDIPFrontEnd(SimComponent):
         self.penalties: Dict[int, int] = {}
         self._ptr = 0          # next trace index the runahead will visit
         self._blocked_at = -1  # runahead waits until commit reaches this
-        # Runahead position whose branch counters are already in stats.
-        # Equal to ptr at every commit-range boundary, where snapshots
-        # are taken; load_state_dict re-derives it from ptr.
-        self._flushed = 0  # lint: ephemeral
+        # Runahead position whose branch counters are already in stats
+        # (equal to ptr at every commit-range boundary).
+        self._flushed = 0
         # Bound trace arrays, the trace's branch oracle and bind-time
-        # constants: rebuilt wholesale by bind(), so resume correctness
-        # never depends on snapshotting them.
+        # constants: rebuilt wholesale by bind(), so reset() leaves them.
         self._b0 = self._b1 = self._page = None  # lint: ephemeral
         self._oracle = self._outcome = None  # lint: ephemeral
         self._n = 0  # lint: ephemeral
@@ -311,30 +309,11 @@ class FDIPFrontEnd(SimComponent):
             setattr(stats, name, getattr(stats, name) + count)
         self._flushed = end
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("penalties", "ptr", "blocked_at")
-
     def reset(self) -> None:
         self.penalties.clear()
         self._ptr = 0
         self._blocked_at = -1
         self._flushed = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "penalties": dict(self.penalties),
-            "ptr": self._ptr,
-            "blocked_at": self._blocked_at,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.penalties = dict(state["penalties"])
-        self._ptr = state["ptr"]
-        self._blocked_at = state["blocked_at"]
-        self._flushed = self._ptr
 
     def stats_snapshot(self) -> Dict[str, float]:
         """The runahead position and each branch counter over every

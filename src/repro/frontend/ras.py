@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 
 
 class ReturnAddressStack(SimComponent):
@@ -75,27 +75,6 @@ class ReturnAddressStack(SimComponent):
         self._count = 0
         self.overflows = 0
         self.underflows = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "buf": list(self._buf),
-            "top": self._top,
-            "count": self._count,
-            "overflows": self.overflows,
-            "underflows": self.underflows,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(
-            self, state, ("buf", "top", "count", "overflows", "underflows")
-        )
-        if len(state["buf"]) != self.depth:
-            raise ValueError("RAS snapshot depth mismatch")
-        self._buf = list(state["buf"])
-        self._top = state["top"]
-        self._count = state["count"]
-        self.overflows = state["overflows"]
-        self.underflows = state["underflows"]
 
     def stats_snapshot(self) -> Dict[str, float]:
         return {"live": float(self._count),

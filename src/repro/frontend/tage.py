@@ -16,14 +16,14 @@ shift register: when the GHR shifts in outcome bit ``b`` and drops bit
 and the dropped bit XORed out at position ``L mod B``.  The registers
 are exactly equal to :meth:`TagePredictor._fold` of the current GHR at
 all times (pinned by tests/test_frontend_units.py), and are rebuilt from
-the GHR on ``load_state_dict`` so the snapshot schema is unchanged.
+the GHR on ``reset``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 
 # (table size, history length, tag bits) per tagged table.
 DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
@@ -85,12 +85,11 @@ class TagePredictor(SimComponent):
                 meta += [hist_len % width, width, (1 << width) - 1]
             self._fold_meta.append(tuple(meta))
         self.ghr = 0
-        # Folded-history registers are derived from the GHR; reset() and
-        # load_state_dict() recompute them via _rebuild_folds(), so
-        # state_dict() deliberately omits them.
-        self._f_idx: List[int] = []  # lint: ephemeral
-        self._f_tag: List[int] = []  # lint: ephemeral
-        self._f_tag2: List[int] = []  # lint: ephemeral
+        # Folded-history registers are derived from the GHR; reset()
+        # recomputes them via _rebuild_folds().
+        self._f_idx: List[int] = []
+        self._f_tag: List[int] = []
+        self._f_tag2: List[int] = []
         self._rebuild_folds()
         self._rng = _Xorshift()
         self.predictions = 0
@@ -243,12 +242,6 @@ class TagePredictor(SimComponent):
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("bimodal", "ctr", "tag", "useful", "ghr", "rng",
-                     "predictions", "mispredictions")
-
     def reset(self) -> None:
         for i in range(len(self.bimodal)):
             self.bimodal[i] = 1
@@ -261,34 +254,6 @@ class TagePredictor(SimComponent):
         self._rng = _Xorshift()
         self.predictions = 0
         self.mispredictions = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "bimodal": list(self.bimodal),
-            "ctr": [list(t) for t in self.ctr],
-            "tag": [list(t) for t in self.tag],
-            "useful": [list(t) for t in self.useful],
-            "ghr": self.ghr,
-            "rng": self._rng.state,
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        if len(state["bimodal"]) != len(self.bimodal):
-            raise ValueError("TAGE snapshot bimodal size mismatch")
-        if [len(t) for t in state["ctr"]] != [s for s, _, _ in self.tables]:
-            raise ValueError("TAGE snapshot table geometry mismatch")
-        self.bimodal = list(state["bimodal"])
-        self.ctr = [list(t) for t in state["ctr"]]
-        self.tag = [list(t) for t in state["tag"]]
-        self.useful = [list(t) for t in state["useful"]]
-        self.ghr = state["ghr"]
-        self._rebuild_folds()
-        self._rng.state = state["rng"]
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]
 
     def stats_snapshot(self) -> Dict[str, float]:
         return {"accuracy": self.accuracy,

@@ -4,8 +4,9 @@ Four AST-based rules enforce the invariants the dynamic test suite can
 only spot-check:
 
 * ``snapshot-coverage`` — every mutable attribute of a ``SimComponent``
-  subclass must be captured by ``state_dict``/``load_state_dict`` and
-  restored by ``reset`` (waive derived state with ``# lint: ephemeral``);
+  subclass must be restored by ``reset``, and captured by
+  ``state_dict``/``load_state_dict`` where the class defines them
+  (``SimStats``; waive derived state with ``# lint: ephemeral``);
 * ``determinism`` — no wall-clock, unseeded RNG, environment reads, or
   hash/set-order hazards on the simulation path;
 * ``hotloop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no

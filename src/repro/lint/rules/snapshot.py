@@ -1,30 +1,32 @@
-"""snapshot-coverage: every mutable SimComponent attribute is snapshotted.
+"""snapshot-coverage: every mutable SimComponent attribute is reset.
 
 For each ``SimComponent`` subclass the rule collects every ``self.X``
 assignment target (plain/annotated/augmented assigns, stores through
 subscripts or nested attributes, and receivers of mutating calls such
-as ``self.X.append(...)``) across all methods, then checks the state
-protocol:
+as ``self.X.append(...)``) across all methods, then checks the
+component protocol:
 
 * attributes assigned **only** in ``__init__`` are configuration and
   exempt;
-* every other (mutable) attribute must be *covered* by ``state_dict``
-  and ``load_state_dict``;
-* attributes mutated outside ``reset`` must additionally be covered by
-  ``reset``.
+* attributes mutated outside ``reset`` must be *covered* by ``reset``
+  (a reset machine must not leak state into the next run);
+* a class whose chain defines ``state_dict``/``load_state_dict``
+  (``SimStats``: the disk-cache payload and the worker-pipe format)
+  must also cover every mutable attribute in both.
 
 "Covered" means the method mentions ``self.X``, names the attribute as
-a string constant (``"x"`` or ``"_x"`` — the ``_STATE_FIELDS`` idiom,
-including class-level tuples of field names), or escapes to dynamic
+a string constant (``"x"`` or ``"_x"``, including class-level tuples
+of field names), or escapes to dynamic
 attribute access (``self.__dict__`` / ``vars(self)`` /
-``getattr(self, ...)`` — the ``InstructionPrefetcher`` deepcopy and
-``HierarchicalPrefetcher`` scalar-loop idioms).  Protocol methods are
-resolved through the class hierarchy across files, so a prefetcher that
-inherits ``InstructionPrefetcher.state_dict`` is judged against it.
+``getattr(self, ...)`` — the ``SimStats`` ``__dict__`` idiom).
+Protocol methods are resolved through the class hierarchy across files,
+so a prefetcher that inherits ``InstructionPrefetcher.reset`` is judged
+against it.
 
-Derived state that is provably rebuilt (TAGE folded-history registers,
-bound decode tables) is waived with ``# lint: ephemeral`` on — or
-directly above — any of its assignment sites.
+Wiring and derived state that ``reset`` deliberately leaves alone
+(FDIP's bind-time decode tables, a prefetcher's I-TLB hook) is waived
+with ``# lint: ephemeral`` on — or directly above — any of its
+assignment sites.
 
 The per-file output is a pure class index, so results cache cleanly;
 hierarchy resolution happens at report time over the whole run.
@@ -152,8 +154,8 @@ def _covered(attr: str, proto: Optional[dict],
              method_map: Dict[str, dict]) -> bool:
     """Coverage closure: a protocol method covers an attribute directly
     or through any ``self.helper()`` it (transitively) calls — e.g.
-    ``reset`` delegating to ``clear``, or ``load_state_dict`` rebuilding
-    folds via ``_rebuild_folds``."""
+    ``reset`` delegating to ``clear``, or rebuilding TAGE's folded
+    registers via ``_rebuild_folds``."""
     if proto is None:
         return False
     stripped = attr.lstrip("_")
@@ -277,6 +279,12 @@ class SnapshotCoverageRule(Rule):
                 entry["methods"].add(method_name)
                 entry["line"] = min(entry["line"], line)
 
+        # Snapshot coverage binds only classes whose chain defines a
+        # snapshot (SimStats); reset coverage binds every component.
+        snapshot: Tuple[str, ...] = ()
+        if protocol["state_dict"] is not None or \
+                protocol["load_state_dict"] is not None:
+            snapshot = ("state_dict", "load_state_dict")
         findings: List[Finding] = []
         wiring = set(config.wiring_attrs)
         for attr in sorted(attrs):
@@ -287,7 +295,7 @@ class SnapshotCoverageRule(Rule):
                                   "load_state_dict"}
             if not mutators:
                 continue  # configuration: only ever set in __init__
-            missing = [m for m in ("state_dict", "load_state_dict")
+            missing = [m for m in snapshot
                        if not _covered(attr, protocol[m], chain_strings,
                                        method_map)]
             if mutators - {"reset"} and \
@@ -303,7 +311,7 @@ class SnapshotCoverageRule(Rule):
                     col=0,
                     message=(
                         f"{name}.{attr} is mutated (in {where}) but not "
-                        f"covered by {', '.join(missing)}; snapshot it "
+                        f"covered by {', '.join(missing)}; cover it "
                         "or waive derived state with '# lint: ephemeral'"
                     ),
                     severity=ERROR,

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 from repro.cpu.stats import LEVEL_DRAM, LEVEL_L2, LEVEL_LLC, SimStats
 from repro.memory.cache import (
     E_DIRTY,
@@ -305,45 +305,6 @@ class MemoryHierarchy(SimComponent):
         self.access_clock = 0
         if self.l2_miss_map is not None:
             self.l2_miss_map.clear()
-
-    _STATE_FIELDS = ("l1i", "l2", "llc", "inflight", "heap", "pending",
-                     "fill_seq", "access_clock", "l2_miss_map")
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "l1i": self.l1i.state_dict(),
-            "l2": self.l2.state_dict(),
-            "llc": self.llc.state_dict(),
-            "inflight": {b: list(f) for b, f in self._inflight.items()},
-            "heap": [tuple(item) for item in self._heap],
-            "pending": [tuple(item) for item in self._pending],
-            "fill_seq": self._fill_seq,
-            "access_clock": self.access_clock,
-            "l2_miss_map": (dict(self.l2_miss_map)
-                            if self.l2_miss_map is not None else None),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.l1i.load_state_dict(state["l1i"])
-        self.l2.load_state_dict(state["l2"])
-        self.llc.load_state_dict(state["llc"])
-        self._inflight = {b: list(f) for b, f in state["inflight"].items()}
-        heap = [tuple(item) for item in state["heap"]]
-        heapq.heapify(heap)  # snapshots preserve heap order; be safe
-        self._heap = heap
-        self._pending = deque(tuple(item) for item in state["pending"])
-        self._fill_seq = state["fill_seq"]
-        self.access_clock = state["access_clock"]
-        # Whether block misses are tracked is decided at construction
-        # (the run's ``track_block_misses`` flag), not by the snapshot:
-        # warmup checkpoints are taken at the measurement boundary,
-        # where the map is cleared anyway, so a checkpoint recorded
-        # without tracking resumes a tracking run exactly.
-        if self.l2_miss_map is not None:
-            self.l2_miss_map.clear()
-            if state["l2_miss_map"]:
-                self.l2_miss_map.update(state["l2_miss_map"])
 
     def stats_snapshot(self) -> Dict[str, float]:
         out = {}

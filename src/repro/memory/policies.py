@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Type
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 from repro.memory.cache import E_ORIGIN, E_USED, ORIGIN_DEMAND
 
 #: Deterministic MRU-insertion period of the bimodal policy (BIP's
@@ -40,8 +40,8 @@ BIP_MRU_PERIOD = 32
 class ReplacementPolicy(SimComponent):
     """Insertion/eviction strategy for one cache (or the I-TLB).
 
-    Stateless policies share the base no-op snapshot protocol; stateful
-    ones (BIP's insertion counter) override it.  One instance belongs
+    Stateless policies share the base no-op ``reset``; stateful ones
+    (BIP's insertion counter) override it.  One instance belongs
     to exactly one cache — per-cache state must not alias across
     levels.
     """
@@ -65,12 +65,6 @@ class ReplacementPolicy(SimComponent):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         pass
-
-    def state_dict(self) -> Dict[str, object]:
-        return {}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ())
 
     def stats_snapshot(self) -> Dict[str, float]:
         return {}
@@ -153,13 +147,6 @@ class BIPPolicy(ReplacementPolicy):
 
     def reset(self) -> None:
         self._fills = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"fills": self._fills}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("fills",))
-        self._fills = state["fills"]
 
 
 class PrefetchAwarePolicy(ReplacementPolicy):

@@ -9,31 +9,17 @@ correctly.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict
-
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.component import SimComponent
 from repro.memory.cache import ORIGIN_PF
-
-#: Attributes that are wiring (references into the machine), not
-#: prefetcher-owned mutable state; excluded from the default snapshot.
-#: ``_itlb_pf`` is a bound method of the machine's I-TLB — snapshotting
-#: it would deep-copy the whole TLB through the closure.
-_WIRING = frozenset({"sim", "trace", "hierarchy", "stats", "_itlb_pf"})
 
 
 class InstructionPrefetcher(SimComponent):
     """Base class; subclasses override the ``on_*`` hooks they need.
 
-    The default :meth:`state_dict`/:meth:`load_state_dict` deep-copy the
-    instance ``__dict__`` minus the wiring references (``sim``,
-    ``trace``, ``hierarchy``, ``stats``).  One ``deepcopy`` of the whole
-    attribute dict (rather than per-field serialization) preserves any
-    intra-state aliasing — e.g. EFetch's in-flight observation lists
-    alias its table entries — so restored behavior is bit-identical.
-    Prefetchers whose state holds callbacks or cross-component
-    references (HierarchicalPrefetcher) override with structured
-    implementations.
+    ``sim``, ``trace``, ``hierarchy``, ``stats`` and ``_itlb_pf`` (a
+    bound method of the machine's I-TLB, or None) are wiring set by
+    :meth:`attach`; everything else is prefetcher-owned state that
+    :meth:`reset` clears.
     """
 
     name = "base"
@@ -58,25 +44,6 @@ class InstructionPrefetcher(SimComponent):
 
     def reset(self) -> None:
         """Clear run-local state (called from :meth:`attach`)."""
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        own = {k: v for k, v in self.__dict__.items() if k not in _WIRING}
-        return {"attrs": copy.deepcopy(own)}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("attrs",))
-        attrs = state["attrs"]
-        expected = set(self.__dict__) - _WIRING
-        if set(attrs) != expected:
-            raise ValueError(
-                f"stale {type(self).__name__} state "
-                f"(missing={sorted(expected - set(attrs))}, "
-                f"unknown={sorted(set(attrs) - expected)})"
-            )
-        self.__dict__.update(copy.deepcopy(attrs))
 
     # ------------------------------------------------------------------
     # Hooks called by the simulator

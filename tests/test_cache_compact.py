@@ -5,8 +5,8 @@ layout (``<root>/<digest[:2]>/<digest>.pkl``) must keep serving those
 legacy entries — transparently migrating them on read — and
 ``DiskCache.compact()`` must migrate the stragglers in bulk, drop
 stale-schema payloads, purge quarantine sidecars, and sweep empty
-shard directories, all without ever touching the nested ``warmup``
-checkpoint store.
+shard directories, all without ever touching the ``runs`` journal
+root.
 """
 
 import os
@@ -140,17 +140,22 @@ class TestCompact:
         assert len(list(cache.quarantined())) == 1
 
     def test_warmup_store_never_touched(self, tmp_path):
+        # The run journals under runs/ are not shard directories, so
+        # compaction must never touch them — not even an empty
+        # two-hex-char directory inside, which looks prunable.
         previous = diskcache.set_cache_dir(tmp_path)
         try:
             cache = diskcache.get_cache()
-            warmup = diskcache.get_warmup_cache()
-            warmup.put("checkpoint", _payload("checkpoint"))
+            run_dir = tmp_path / "runs" / "abcdef012345-0001"
+            run_dir.mkdir(parents=True)
+            segment = run_dir / "events-0001.jsonl"
+            segment.write_text('{"event": "begin", "seq": 1}\n')
+            (tmp_path / "runs" / "ab").mkdir()
             cache.put("result", _payload("result"))
             report = cache.compact()
             assert report.entries == 1
-            assert warmup.get("checkpoint") == _payload("checkpoint")
-            # warmup/ survives even though compact prunes empty dirs
-            assert (tmp_path / "warmup").is_dir()
+            assert segment.read_text() == '{"event": "begin", "seq": 1}\n'
+            assert (tmp_path / "runs" / "ab").is_dir()
         finally:
             diskcache.set_cache_dir(previous)
 

@@ -1,32 +1,28 @@
-"""The SimComponent protocol: exact state round-trips for every model.
+"""The SimComponent protocol: ``reset`` round-trips for every model.
 
-The protocol's contract is *bit-identical future behavior*: loading a
-``state_dict()`` snapshot into a freshly constructed component (same
-configuration) and replaying the remaining operations must reproduce
-the original's final state exactly.  Unit sections drive each component
-with randomized operation sequences (hypothesis); machine sections
-assert that a simulator resumed from a snapshot — at the warmup
-boundary or mid-measurement — finishes with ``SimStats`` exactly equal
-to an uninterrupted run's.
+The protocol's contract is that ``reset()`` returns a component to its
+power-on state: a used-then-reset component must behave bit-identically
+to a freshly constructed one (same configuration).  Unit sections drive
+each component with randomized operation sequences (hypothesis); machine
+sections assert that a simulator reset after a run re-runs with
+``SimStats`` exactly equal to a fresh machine's.
 """
+
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compression import CompressionBuffer
 from repro.core.metadata import MetadataAddressTable, MetadataBuffer
-from repro.cpu.component import (
-    ComponentRegistry,
-    SimComponent,
-    check_state_fields,
-)
+from repro.cpu.component import ComponentRegistry, SimComponent
 from repro.cpu.simulator import FrontEndSimulator
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
 from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.tage import TagePredictor
 from repro.memory.cache import ORIGIN_DEMAND, ORIGIN_PF, SetAssocCache
-from repro.memory.policies import POLICY_NAMES, BIPPolicy, LRUPolicy
+from repro.memory.policies import POLICY_NAMES
 from repro.memory.tlb import InstructionTLB
 from repro.prefetchers import PREFETCHER_NAMES, make_prefetcher
 
@@ -45,40 +41,7 @@ class TestProtocol:
         comp = SimComponent()
         with pytest.raises(NotImplementedError):
             comp.reset()
-        with pytest.raises(NotImplementedError):
-            comp.state_dict()
-        with pytest.raises(NotImplementedError):
-            comp.load_state_dict({})
         assert comp.stats_snapshot() == {}
-
-    def test_check_state_fields_strict(self):
-        comp = InstructionTLB(4)
-        with pytest.raises(ValueError, match="missing.*pages"):
-            check_state_fields(comp, {"accesses": 0, "misses": 0},
-                               ("pages", "accesses", "misses"))
-        with pytest.raises(ValueError, match="unknown.*bogus"):
-            check_state_fields(
-                comp, {"pages": [], "accesses": 0, "misses": 0, "bogus": 1},
-                ("pages", "accesses", "misses"),
-            )
-
-    def test_every_component_rejects_stale_snapshot(self):
-        components = [
-            SetAssocCache(1024, 2, name="c"),
-            InstructionTLB(8),
-            BranchTargetBuffer(64, 4),
-            TagePredictor(bimodal_entries=64, tables=((64, 4, 5),)),
-            ITTagePredictor(base_entries=64, tables=((64, 4, 5),)),
-            ReturnAddressStack(4),
-            MetadataAddressTable(16, 4),
-            MetadataBuffer(capacity_bytes=2 * 384),
-            CompressionBuffer(capacity=2),
-            LRUPolicy(),
-            BIPPolicy(),
-        ]
-        for comp in components:
-            with pytest.raises(ValueError):
-                comp.load_state_dict({"definitely": "not", "a": "snapshot"})
 
 
 class TestRegistry:
@@ -101,16 +64,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.register("tlb", InstructionTLB(4))
 
-    def test_load_rejects_component_set_mismatch(self):
-        reg = ComponentRegistry()
-        reg.register("tlb", InstructionTLB(4))
-        state = reg.state_dict()
-        other = ComponentRegistry()
-        other.register("tlb", InstructionTLB(4))
-        other.register("ras", ReturnAddressStack(4))
-        with pytest.raises(ValueError, match="mismatch"):
-            other.load_state_dict(state)
-
     def test_stats_snapshot_prefixes_names(self):
         reg = ComponentRegistry()
         reg.register("itlb", InstructionTLB(4))
@@ -119,23 +72,39 @@ class TestRegistry:
 
 
 # ======================================================================
-# Unit round-trips: snapshot mid-sequence, replay the tail on a clone
+# Unit round-trips: dirty, reset, then behave exactly like a fresh twin
 # ======================================================================
+def _plain(value):
+    """Order-preserving plain-data view of a component's attributes
+    (nested components and slotted records included, callables — the
+    wiring — left out), for exact comparison."""
+    if isinstance(value, SimComponent):
+        value = vars(value)
+    if isinstance(value, dict):
+        return [(k, _plain(v)) for k, v in value.items() if not callable(v)]
+    if isinstance(value, (list, tuple, deque)):
+        return [_plain(v) for v in value]
+    slots = getattr(type(value), "__slots__", None)
+    if slots:
+        return [_plain(getattr(value, name)) for name in slots]
+    return value
+
+
 def _roundtrip(make, ops, drive, split=None):
-    """Drive ``ops`` on an original; at ``split``, clone via the state
-    protocol; drive the tail on both; their snapshots must agree."""
+    """Drive ``ops[:split]`` on a component and ``reset()`` it; then
+    drive all of ``ops`` on it and on a fresh twin.  Every result and
+    the final state must agree."""
     if split is None:
         split = len(ops) // 2
-    original = make()
+    used = make()
     for op in ops[:split]:
-        drive(original, op)
-    clone = make()
-    clone.load_state_dict(original.state_dict())
-    assert clone.state_dict() == original.state_dict()
-    for op in ops[split:]:
-        drive(original, op)
-        drive(clone, op)
-    assert clone.state_dict() == original.state_dict()
+        drive(used, op)
+    used.reset()
+    fresh = make()
+    assert _plain(used) == _plain(fresh)
+    assert [drive(used, op) for op in ops] == \
+        [drive(fresh, op) for op in ops]
+    assert _plain(used) == _plain(fresh)
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,12 +114,12 @@ def test_cache_roundtrip(ops):
     def drive(cache, op):
         kind, block = op
         if kind == "i":
-            cache.insert(block, ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
-                         issue_index=block)
-        elif kind == "l":
-            cache.lookup(block)
-        else:
-            cache.invalidate(block)
+            return cache.insert(block,
+                                ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
+                                issue_index=block)
+        if kind == "l":
+            return cache.lookup(block)
+        return cache.invalidate(block)
 
     _roundtrip(lambda: SetAssocCache(4096, 4, name="t"), ops, drive)
 
@@ -163,12 +132,12 @@ def test_cache_roundtrip_every_policy(policy, ops):
     def drive(cache, op):
         kind, block = op
         if kind == "i":
-            cache.insert(block, ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
-                         issue_index=block)
-        elif kind == "l":
-            cache.lookup(block)
-        else:
-            cache.invalidate(block)
+            return cache.insert(block,
+                                ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
+                                issue_index=block)
+        if kind == "l":
+            return cache.lookup(block)
+        return cache.invalidate(block)
 
     _roundtrip(lambda: SetAssocCache(4096, 4, name="t", policy=policy),
                ops, drive)
@@ -183,15 +152,16 @@ def test_tlb_roundtrip(pages):
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @settings(max_examples=15, deadline=None)
-@given(pages=st.lists(st.integers(0, 40), max_size=60))
-def test_tlb_roundtrip_every_policy(policy, pages):
-    def drive(tlb, page):
-        if page % 5 == 0:
-            tlb.prefetch(page)
-        else:
-            tlb.translate(page)
+@given(ops=st.lists(st.tuples(st.sampled_from("pt"), st.integers(0, 12)),
+                    max_size=60))
+def test_tlb_roundtrip_every_policy(policy, ops):
+    def drive(tlb, op):
+        kind, page = op
+        if kind == "p":
+            return tlb.prefetch(page)
+        return tlb.translate(page)
 
-    _roundtrip(lambda: InstructionTLB(8, policy=policy), pages, drive)
+    _roundtrip(lambda: InstructionTLB(8, policy=policy), ops, drive)
 
 
 @pytest.mark.parametrize("entries", [64, None])
@@ -202,9 +172,8 @@ def test_btb_roundtrip(entries, ops):
     def drive(btb, op):
         kind, pc = op
         if kind == "l":
-            btb.lookup(pc * 4)
-        else:
-            btb.update(pc * 4, pc * 8 + 16)
+            return btb.lookup(pc * 4)
+        return btb.update(pc * 4, pc * 8 + 16)
 
     _roundtrip(lambda: BranchTargetBuffer(entries, 4), ops, drive)
 
@@ -236,9 +205,8 @@ def test_ittage_roundtrip(calls):
 def test_ras_roundtrip(ops):
     def drive(ras, op):
         if op is None:
-            ras.pop()
-        else:
-            ras.push(op)
+            return ras.pop()
+        return ras.push(op)
 
     _roundtrip(lambda: ReturnAddressStack(4), ops, drive)
 
@@ -255,18 +223,18 @@ def test_compression_roundtrip(blocks):
         return buf
 
     split = len(blocks) // 2
-    original = make()
+    used = make()
     for b in blocks[:split]:
-        original.observe(b)
-    clone = make()
-    clone.load_state_dict(original.state_dict())
-    for b in blocks[split:]:
-        original.observe(b)
-        clone.observe(b)
-    assert clone.state_dict() == original.state_dict()
-    # Post-snapshot evictions must be identical streams.
-    n = len(sinks[id(clone)])
-    assert sinks[id(original)][-n:] == sinks[id(clone)] if n else True
+        used.observe(b)
+    used.reset()
+    del sinks[id(used)][:]
+    fresh = make()
+    for b in blocks:
+        used.observe(b)
+        fresh.observe(b)
+    assert _plain(used) == _plain(fresh)
+    # Post-reset evictions must be identical streams.
+    assert sinks[id(used)] == sinks[id(fresh)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -276,32 +244,33 @@ def test_mat_roundtrip(ops):
     def drive(mat, op):
         kind, bid = op
         if kind == "l":
-            mat.lookup(bid)
-        elif kind == "i":
-            mat.insert(bid, bid % 32)
-        else:
-            mat.invalidate(bid)
+            return mat.lookup(bid)
+        if kind == "i":
+            return mat.insert(bid, bid % 32)
+        return mat.invalidate(bid)
 
     _roundtrip(lambda: MetadataAddressTable(16, 4), ops, drive)
 
 
 def test_metadata_buffer_roundtrip():
-    buf = MetadataBuffer(capacity_bytes=4 * 384)
-    for bid in range(6):  # wraps the 4-segment buffer
-        seg = buf.allocate(bid, bid * 10, protect=lambda i: False)
-        seg.next_seg = (seg.index + 1) % buf.n_segments
-        seg.n_valid = 1
-    clone = MetadataBuffer(capacity_bytes=4 * 384)
-    clone.load_state_dict(buf.state_dict())
-    assert clone.state_dict() == buf.state_dict()
-    a = buf.allocate(99, 0, protect=lambda i: False)
-    b = clone.allocate(99, 0, protect=lambda i: False)
-    assert a.index == b.index
-    assert clone.state_dict() == buf.state_dict()
+    def fill(buf):
+        indices = []
+        for bid in range(6):  # wraps the 4-segment buffer
+            seg = buf.allocate(bid, bid * 10, protect=lambda i: False)
+            seg.next_seg = (seg.index + 1) % buf.n_segments
+            seg.n_valid = 1
+            indices.append(seg.index)
+        return indices
 
-    wrong = MetadataBuffer(capacity_bytes=8 * 384)
-    with pytest.raises(ValueError, match="segments"):
-        wrong.load_state_dict(buf.state_dict())
+    used = MetadataBuffer(capacity_bytes=4 * 384)
+    fill(used)
+    used.reset()
+    fresh = MetadataBuffer(capacity_bytes=4 * 384)
+    assert _plain(used) == _plain(fresh)
+    assert fill(used) == fill(fresh)
+    assert _plain(used) == _plain(fresh)
+    assert used.allocate(99, 0, protect=lambda i: False).index == \
+        fresh.allocate(99, 0, protect=lambda i: False).index
 
 
 # ======================================================================
@@ -310,47 +279,6 @@ def test_metadata_buffer_roundtrip():
 def _machine(prefetcher, **kwargs):
     pf = make_prefetcher(prefetcher) if prefetcher else None
     return FrontEndSimulator(config=micro_machine(), prefetcher=pf, **kwargs)
-
-
-@pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
-def test_warmup_checkpoint_resume_is_exact(prefetcher, micro_trace_long):
-    """Snapshot at the warmup boundary; resume must equal an
-    uninterrupted run's final SimStats exactly."""
-    reference = _machine(prefetcher)
-    expected = reference.run(micro_trace_long)
-
-    donor = _machine(prefetcher)
-    donor.warmup(micro_trace_long)
-    snapshot = donor.state_dict()
-
-    resumed = _machine(prefetcher)
-    resumed.resume(micro_trace_long, snapshot)
-    got = resumed.measure()
-    assert got == expected
-
-
-@pytest.mark.parametrize("prefetcher", [None, "efetch", "hierarchical"])
-def test_mid_measurement_resume_is_exact(prefetcher, micro_trace_long):
-    """Snapshot *inside* the measured window (via a probe hook); the
-    resumed machine must still finish with identical SimStats."""
-    reference = _machine(prefetcher)
-    expected = reference.run(micro_trace_long)
-
-    donor = _machine(prefetcher, probe_interval=3_000)
-    captured = {}
-
-    def grab(sim, sample):
-        if "state" not in captured:
-            captured["state"] = sim.state_dict()
-
-    donor.probes.subscribe(grab)
-    donor.run(micro_trace_long)
-    assert "state" in captured
-
-    resumed = _machine(prefetcher)
-    resumed.resume(micro_trace_long, captured["state"])
-    got = resumed.measure()
-    assert got == expected
 
 
 def test_registry_composes_whole_machine(micro_trace):
@@ -367,59 +295,37 @@ def test_registry_composes_whole_machine(micro_trace):
     assert snap["frontend.cond_branches"] > 0
 
 
-def _same_state(a, b):
-    """Structural state equality.
-
-    Plain ``==`` covers pure-data snapshots; deepcopy-style snapshots
-    (InstructionPrefetcher) hold objects without ``__eq__``, so fall
-    back to pickle bytes — deterministic for graphs deep-copied from a
-    common source, and sensitive to any content difference."""
-    import pickle
-    return a == b or pickle.dumps(a) == pickle.dumps(b)
-
-
 @pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
 def test_every_registry_component_roundtrips(prefetcher, micro_trace):
-    """mutate -> state_dict -> load_state_dict -> state_dict is exact
-    for every component a machine registers, individually.
+    """run -> reset must return every component a machine registers to
+    its power-on state: after the same warmup, each one's
+    ``stats_snapshot`` equals a fresh machine's, and so do the measured
+    SimStats.
 
-    This is the executable form of the snapshot-coverage lint: any
-    mutable attribute a component forgets to snapshot shows up here as
-    a post-load divergence on the fresh twin."""
+    This is the executable form of the snapshot-coverage lint's reset
+    check: any mutable attribute a component forgets to reset shows up
+    here as a divergence from the fresh twin."""
     sim = _machine(prefetcher)
     sim.run(micro_trace)  # mutate everything through a real run
-    twin = _machine(prefetcher)
-    twin.warmup(micro_trace)  # bind + dirty the twin; loads must restore
-    assert sim.components.names() == twin.components.names()
+    sim.reset()
+    fresh = _machine(prefetcher)
+    assert sim.components.names() == fresh.components.names()
+    sim.warmup(micro_trace)
+    fresh.warmup(micro_trace)
     for name in sim.components.names():
-        snap = sim.components[name].state_dict()
-        target = twin.components[name]
-        target.load_state_dict(snap)
-        assert _same_state(target.state_dict(), snap), name
-        # Loading a snapshot into its own source is idempotent too.
-        sim.components[name].load_state_dict(snap)
-        assert _same_state(sim.components[name].state_dict(), snap), name
-
-
-def test_resume_requires_matching_config(micro_trace_long):
-    donor = _machine(None)
-    donor.warmup(micro_trace_long)
-    state = donor.state_dict()
-    mismatched = FrontEndSimulator(
-        config=micro_machine().replace(**{"hierarchy.l1i_bytes": 16 * 1024}),
-    )
-    with pytest.raises(ValueError):
-        mismatched.resume(micro_trace_long, state)
+        assert sim.components[name].stats_snapshot() == \
+            fresh.components[name].stats_snapshot(), name
+    assert sim.measure() == fresh.measure()
 
 
 def test_stats_load_is_in_place(micro_trace):
     sim = _machine(None)
-    sim.run(micro_trace)
-    state = sim.state_dict()
+    state = sim.run(micro_trace).state_dict()
     sim2 = _machine(None)
     shared_ref = sim2.stats
-    sim2.load_state_dict(state)
+    sim2.stats.load_state_dict(state)
     assert sim2.stats is shared_ref, "SimStats must be loaded in place"
+    assert sim2.stats == sim.stats
     assert sim2.hierarchy.stats is sim2.stats
     assert sim2.frontend.stats is sim2.stats
 
@@ -497,13 +403,6 @@ class TestRunTwice:
         sim.run(trace)
         with pytest.raises(RuntimeError, match="already ran"):
             sim.run(trace)
-
-    def test_resume_on_used_machine_raises(self, micro_trace):
-        donor = _machine(None)
-        donor.warmup(micro_trace)
-        state = donor.state_dict()
-        with pytest.raises(RuntimeError, match="already ran"):
-            donor.resume(micro_trace, state)
 
     def test_reset_enables_identical_rerun(self):
         trace = looping_trace()

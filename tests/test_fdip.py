@@ -215,10 +215,6 @@ class TestBranchOracle:
             monkeypatch.setattr(cls, "__init__", forbidden)
         sim = FrontEndSimulator(config=micro_cfg)
         assert sim.run(micro_trace) == expected
-        assert FDIPFrontEnd._STATE_FIELDS == ("penalties", "ptr",
-                                              "blocked_at")
-        assert set(sim.frontend.state_dict()) == {"penalties", "ptr",
-                                                  "blocked_at"}
 
     def test_unknown_branch_kind_names_trace_index(self):
         asm = TraceAssembler().linear(0x400000, 3)

@@ -46,6 +46,8 @@ def rules_hit(report):
 # ======================================================================
 class TestSnapshotCoverage:
     def test_uncovered_mutable_attr_is_flagged(self, tmp_path):
+        # A class that defines a snapshot (the SimStats shape) must
+        # cover every mutable attribute in state_dict/load_state_dict.
         project(tmp_path, {"src/repro/comp.py": """\
             from repro.cpu.component import SimComponent
 
@@ -78,20 +80,18 @@ class TestSnapshotCoverage:
                     self.value += 1
                 def reset(self):
                     pass
-                def state_dict(self):
-                    return {"value": self.value}
-                def load_state_dict(self, state):
-                    self.value = state["value"]
             """})
         report = lint(tmp_path, rules=["snapshot-coverage"])
         assert len(report.findings) == 1
-        assert "covered by reset" in report.findings[0].message
+        message = report.findings[0].message
+        assert "Gauge.value" in message
+        assert message.split("covered by ")[1].startswith("reset;")
 
     def test_covered_component_is_clean(self, tmp_path):
+        # A component without a snapshot needs only reset coverage; a
+        # SimStats-shaped one needs all three.
         project(tmp_path, {"src/repro/comp.py": """\
             class Gauge(SimComponent):
-                _STATE_FIELDS = ("value", "_ticks")
-
                 def __init__(self):
                     self.value = 0
                     self._ticks = 0
@@ -101,16 +101,28 @@ class TestSnapshotCoverage:
                 def reset(self):
                     self.value = 0
                     self._ticks = 0
+
+            class SimStats(SimComponent):
+                _FIELDS = ("value", "_ticks")
+
+                def __init__(self):
+                    self.reset()
+                def poke(self):
+                    self.value += 1
+                    self._ticks += 1
+                def reset(self):
+                    self.value = 0
+                    self._ticks = 0
                 def state_dict(self):
-                    return {f: getattr(self, f) for f in self._STATE_FIELDS}
+                    return {f: getattr(self, f) for f in self._FIELDS}
                 def load_state_dict(self, state):
-                    for f in self._STATE_FIELDS:
+                    for f in self._FIELDS:
                         setattr(self, f, state[f])
             """})
         assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
 
     def test_string_field_names_count_as_coverage(self, tmp_path):
-        # The _STATE_FIELDS idiom: "ptr" covers self._ptr.
+        # A snapshot key "ptr" covers self._ptr.
         project(tmp_path, {"src/repro/comp.py": """\
             class Walker(SimComponent):
                 def __init__(self):
@@ -131,10 +143,6 @@ class TestSnapshotCoverage:
             class Sized(SimComponent):
                 def __init__(self, n):
                     self.capacity = n  # never reassigned: config
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
                 def reset(self):
                     pass
             """})
@@ -147,10 +155,6 @@ class TestSnapshotCoverage:
                     self._derived = None  # lint: ephemeral
                 def warm(self):
                     self._derived = 1
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
                 def reset(self):
                     pass
             """})
@@ -163,16 +167,13 @@ class TestSnapshotCoverage:
                     self.items = []
                 def put(self, x):
                     self.items.append(x)
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
                 def reset(self):
-                    self.items.clear()
+                    pass
             """})
         report = lint(tmp_path, rules=["snapshot-coverage"])
         assert len(report.findings) == 1
         assert "Bag.items" in report.findings[0].message
+        assert "covered by reset" in report.findings[0].message
 
     def test_transitive_helper_coverage(self, tmp_path):
         # reset() delegating to clear() still covers the attribute.
@@ -186,23 +187,15 @@ class TestSnapshotCoverage:
                     self.entries = []
                 def reset(self):
                     self.clear()
-                def state_dict(self):
-                    return {"entries": list(self.entries)}
-                def load_state_dict(self, state):
-                    self.entries = list(state["entries"])
             """})
         assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
 
     def test_cross_file_inherited_protocol(self, tmp_path):
-        # Child inherits Base's vars(self)-based snapshot: covered.
-        # Orphan inherits a snapshot that names only Base's fields: not.
+        # Child inherits Base's vars(self)-based reset: covered.
+        # Orphan inherits a reset that names only Base's fields: not.
         files = {
             "src/repro/base.py": """\
                 class DynamicBase(SimComponent):
-                    def state_dict(self):
-                        return dict(vars(self))
-                    def load_state_dict(self, state):
-                        self.__dict__.update(state)
                     def reset(self):
                         for key in vars(self):
                             setattr(self, key, 0)
@@ -212,10 +205,6 @@ class TestSnapshotCoverage:
                         self.x = 0
                     def tick(self):
                         self.x += 1
-                    def state_dict(self):
-                        return {"x": self.x}
-                    def load_state_dict(self, state):
-                        self.x = state["x"]
                     def reset(self):
                         self.x = 0
                 """,
@@ -241,6 +230,7 @@ class TestSnapshotCoverage:
         assert len(report.findings) == 1
         f = report.findings[0]
         assert "Orphan.extra" in f.message
+        assert "covered by reset" in f.message
         assert f.path == "src/repro/child.py"
 
     def test_non_components_are_ignored(self, tmp_path):
@@ -998,10 +988,6 @@ class TestDepAwareCache:
                     self.x = 0
                 def tick(self):
                     self.x += 1
-                def state_dict(self):
-                    return {"x": self.x}
-                def load_state_dict(self, state):
-                    self.x = state["x"]
                 def reset(self):
                     self.x = 0
             """)
@@ -1011,10 +997,6 @@ class TestDepAwareCache:
                     self.x = 0
                 def tick(self):
                     self.x += 1
-                def state_dict(self):
-                    return dict(vars(self))
-                def load_state_dict(self, state):
-                    self.__dict__.update(state)
                 def reset(self):
                     for key in vars(self):
                         setattr(self, key, 0)
@@ -1037,7 +1019,7 @@ class TestDepAwareCache:
         warm = run_lint(root=tmp_path)
         assert warm.cache_hits == warm.files_scanned == 2
 
-        # Widen only the base snapshot; child.py's bytes are untouched.
+        # Widen only the base reset; child.py's bytes are untouched.
         (tmp_path / "src/repro/base.py").write_text(wide_base)
         third = run_lint(root=tmp_path)
         assert third.cache_hits == 0  # dependency fingerprint moved

@@ -276,7 +276,7 @@ class TestTracker:
 
 
 # ======================================================================
-# Snapshot round trips
+# SimStats snapshot round trips (disk cache / worker pipe payload)
 # ======================================================================
 class TestSnapshotRoundTrip:
     def test_stats_state_dict_roundtrip(self, msvc_trace):
@@ -289,31 +289,6 @@ class TestSnapshotRoundTrip:
         restored = SimStats()
         restored.load_state_dict(stats.state_dict())
         assert restored == stats
-
-    @pytest.mark.parametrize(
-        "prefetcher", [None, "hierarchical", "hp_compressed"]
-    )
-    def test_warmup_checkpoint_resume_is_exact(self, prefetcher,
-                                               msvc_trace):
-        """Resume from a warmup snapshot: every counter *and* every
-        probe.request_* timeline must equal the uninterrupted run."""
-        def machine():
-            pf = make_prefetcher(prefetcher) if prefetcher else None
-            return FrontEndSimulator(config=micro_machine(),
-                                     prefetcher=pf)
-
-        expected = machine().run(msvc_trace)
-        donor = machine()
-        donor.warmup(msvc_trace)
-        snapshot = donor.state_dict()
-        resumed = machine().resume(msvc_trace, snapshot)
-        got = resumed.measure()
-        assert got == expected
-        assert got.state_dict() == expected.state_dict()
-        assert (got.extra["probe.request_latency"]
-                == expected.extra["probe.request_latency"])
-        assert (got.extra["probe.request_p99"]
-                == expected.extra["probe.request_p99"])
 
 
 # ======================================================================

@@ -1,4 +1,4 @@
-"""Replacement policies: unit behavior, snapshot round trips, the
+"""Replacement policies: unit behavior, reset round trips, the
 I-TLB prefetch path, and the policy × prefetcher surface (experiments
 family + CLI flags)."""
 
@@ -115,11 +115,8 @@ class TestBIP:
     def test_counter_snapshots(self):
         policy = BIPPolicy()
         policy._fills = 7
-        clone = BIPPolicy()
-        clone.load_state_dict(policy.state_dict())
-        assert clone._fills == 7
-        clone.reset()
-        assert clone._fills == 0
+        policy.reset()
+        assert policy._fills == 0
 
 
 class TestPrefetchAware:
@@ -157,72 +154,60 @@ class TestPrefetchAware:
 
 
 # ======================================================================
-# Snapshot round trips: every policy, through cache and TLB
+# Reset round trips: every policy, through cache and TLB
 # ======================================================================
 _OPS = [("i", b) for b in range(40)] + \
        [("l", 3), ("i", 41), ("l", 7), ("v", 5)] + \
        [("i", b * 3) for b in range(20)]
 
 
+def _reset_roundtrip(make, ops, drive, view=lambda c: c.stats_snapshot()):
+    """Dirty a component with the first half of ``ops`` and reset it;
+    it must then look like a fresh twin and answer every op exactly
+    like it."""
+    used = make()
+    for op in ops[:len(ops) // 2]:
+        drive(used, op)
+    used.reset()
+    fresh = make()
+    assert view(used) == view(fresh)
+    assert [drive(used, op) for op in ops] == \
+        [drive(fresh, op) for op in ops]
+    assert view(used) == view(fresh)
+
+
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_cache_roundtrip_mid_sequence(policy):
-    def make():
-        return SetAssocCache(4096, 4, name="t", policy=policy)
-
     def drive(cache, op):
         kind, block = op
         if kind == "i":
-            cache.insert(block, ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
-                         issue_index=block)
-        elif kind == "l":
-            cache.lookup(block)
-        else:
-            cache.invalidate(block)
+            return cache.insert(block,
+                                ORIGIN_PF if block % 3 else ORIGIN_DEMAND,
+                                issue_index=block)
+        if kind == "l":
+            return cache.lookup(block)
+        return cache.invalidate(block)
 
-    original = make()
-    for op in _OPS[:30]:
-        drive(original, op)
-    clone = make()
-    clone.load_state_dict(original.state_dict())
-    assert clone.state_dict() == original.state_dict()
-    for op in _OPS[30:]:
-        drive(original, op)
-        drive(clone, op)
-    assert clone.state_dict() == original.state_dict()
+    _reset_roundtrip(lambda: SetAssocCache(4096, 4, name="t", policy=policy),
+                     _OPS, drive)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_tlb_roundtrip_mid_sequence(policy):
-    def drive(tlb, page):
-        if page % 5 == 0:
-            tlb.prefetch(page)
-        else:
-            tlb.translate(page)
+    def drive(tlb, op):
+        kind, page = op
+        if kind == "p":
+            return tlb.prefetch(page)
+        return tlb.translate(page)
 
-    original = InstructionTLB(8, policy=policy)
-    pages = [p % 13 for p in range(60)]
-    for page in pages[:30]:
-        drive(original, page)
-    clone = InstructionTLB(8, policy=policy)
-    clone.load_state_dict(original.state_dict())
-    assert clone.state_dict() == original.state_dict()
-    for page in pages[30:]:
-        drive(original, page)
-        drive(clone, page)
-    assert clone.state_dict() == original.state_dict()
+    def view(tlb):
+        return (tlb.accesses, tlb.misses, tlb.pf_probes, tlb.pf_installs,
+                tlb.pf_hits, list(tlb._entries.items()))
 
-
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_policy_rejects_stale_snapshot(policy):
-    with pytest.raises(ValueError):
-        make_policy(policy).load_state_dict({"definitely": "stale"})
-
-
-def test_cache_snapshot_includes_policy_state():
-    cache = _one_set_cache(policy="bip")
-    assert "policy" in cache.state_dict()
-    tlb = InstructionTLB(8, policy="bip")
-    assert "policy" in tlb.state_dict()
+    # Every prefetch is followed by a demand touch of the same page.
+    ops = [(kind, p % 13) for p in range(30) for kind in "pt"]
+    _reset_roundtrip(lambda: InstructionTLB(8, policy=policy), ops, drive,
+                     view)
 
 
 # ======================================================================

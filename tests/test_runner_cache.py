@@ -271,154 +271,37 @@ class TestDiskCacheStore:
         assert cache.clear() == 0
 
 
-class TestWarmupCheckpoint:
-    """PR 2: the runner persists a post-warmup machine snapshot keyed by
-    (trace, config fingerprint, prefetcher) and later runs of the same
-    point resume from it instead of re-simulating the warmup window —
-    with *exactly* equal SimStats."""
+def test_tracked_run_equals_untracked(cache_dir):
+    """The same point run untracked, then with ``track_block_misses``:
+    tracking is part of the result key, so both simulate; the SimStats
+    are equal, the tracked run carries a miss map, and nothing writes a
+    warmup checkpoint store."""
+    untracked, no_map = run_prefetcher(WORKLOAD, "hierarchical",
+                                       scale="tiny")
+    tracked, miss_map = run_prefetcher(WORKLOAD, "hierarchical",
+                                       scale="tiny",
+                                       track_block_misses=True)
+    assert run_cache_stats().simulations == 2
+    assert tracked == untracked
+    assert no_map is None and miss_map
+    assert not (cache_dir / "warmup").exists()
 
-    def test_cold_run_writes_checkpoint(self, cache_dir):
-        run_prefetcher(WORKLOAD, "hierarchical", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_writes == 1 and s.warmup_hits == 0
-        assert len(diskcache.get_warmup_cache()) == 1
-        # Warmup checkpoints are invisible to the result store.
-        assert len(diskcache.get_cache()) == 1
 
-    def test_tracked_rerun_skips_warmup_and_is_exact(self, cache_dir):
-        # track_block_misses changes the *result* key but not the
-        # *warmup* key, so the tracked re-run resumes the checkpoint.
-        cold, _ = run_prefetcher(WORKLOAD, "hierarchical", scale="tiny")
-        warm, miss_map = run_prefetcher(
-            WORKLOAD, "hierarchical", scale="tiny", track_block_misses=True)
-        s = run_cache_stats()
-        assert s.simulations == 2 and s.warmup_hits == 1
-        assert s.warmup_writes == 1  # resumed run does not re-store
-        assert warm == cold
-        assert miss_map  # tracking still collected from measurement
+def test_cache_clear_removes_warmup_store(cache_dir, capsys):
+    """``repro cache clear`` (``clear_run_cache(disk=True)``) removes
+    the ``<cache root>/warmup/`` checkpoint tree that older caches
+    still hold, together with the result entries."""
+    from repro.cli import main
 
-    def test_checkpointed_rerun_equals_cold(self, cache_dir):
-        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        # Drop the cached *result* but keep the warmup checkpoint.
-        clear_run_cache()
-        diskcache.get_cache().clear()
-        assert len(diskcache.get_warmup_cache()) == 1
-        reset_run_cache_stats()
-        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.simulations == 1 and s.warmup_hits == 1
-        assert warm == cold
-
-    def test_corrupted_checkpoint_falls_back_cold(self, cache_dir):
-        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
-        payload = _read_payload(path)
-        # Mangle the machine state so resume() raises mid-load.
-        payload["state"]["components"] = {"not": "the machine"}
-        _write_payload(path, payload)
-        clear_run_cache()
-        diskcache.get_cache().clear()
-        reset_run_cache_stats()
-        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
-        assert warm == cold  # fell back to a correct cold run
-
-    def test_old_fdip_layout_checkpoint_falls_back_cold(self, cache_dir):
-        # Before the branch oracle, the front end snapshotted its live
-        # predictors.  Such a checkpoint must be rejected as stale and
-        # the run must fall back to a cold warmup with equal stats.
-        from repro.cpu.component import check_state_fields
-        from repro.frontend import (BranchTargetBuffer, FDIPFrontEnd,
-                                    FrontEndParams, ITTagePredictor,
-                                    ReturnAddressStack, TagePredictor)
-
-        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
-        payload = _read_payload(path)
-        frontend = payload["state"]["components"]["frontend"]
-        frontend.update(btb=BranchTargetBuffer().state_dict(),
-                        tage=TagePredictor().state_dict(),
-                        ittage=ITTagePredictor().state_dict(),
-                        ras=ReturnAddressStack().state_dict())
-        _write_payload(path, payload)
-        with pytest.raises(ValueError, match="stale FDIPFrontEnd state"):
-            check_state_fields(FDIPFrontEnd(FrontEndParams(), SimStats()),
-                               frontend, FDIPFrontEnd._STATE_FIELDS)
-        clear_run_cache()
-        diskcache.get_cache().clear()
-        reset_run_cache_stats()
-        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
-        assert s.warmup_writes == 1  # a current-layout checkpoint again
-        assert warm == cold
-
-    def test_truncated_checkpoint_falls_back_cold(self, cache_dir):
-        # A half-written (killed process) checkpoint file: the disk
-        # layer quarantines it and the run degrades to a cold warmup
-        # with bit-identical stats.
-        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        clear_run_cache()
-        diskcache.get_cache().clear()
-        reset_run_cache_stats()
-        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
-        assert s.cache_corrupt == 1
-        assert warm == cold
-        assert list(diskcache.get_warmup_cache().quarantined())
-        # The cold run re-persisted a fresh, valid checkpoint.
-        assert s.warmup_writes == 1
-
-    def test_arbitrary_resume_exception_falls_back_cold(
-            self, cache_dir, monkeypatch):
-        # The guard must cover *any* exception type out of resume(),
-        # not just the known stale-snapshot signatures.
-        from repro.cpu.simulator import FrontEndSimulator
-
-        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        clear_run_cache()
-        diskcache.get_cache().clear()
-        reset_run_cache_stats()
-
-        def explode(self, trace, state):
-            raise ZeroDivisionError("boom mid-load")
-
-        monkeypatch.setattr(FrontEndSimulator, "resume", explode)
-        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
-        assert warm == cold
-
-    def test_config_change_misses_checkpoint(self, cache_dir):
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        reset_run_cache_stats()
-        run_prefetcher(WORKLOAD, "eip", scale="tiny",
-                       overrides={"hierarchy.l1i_bytes": 16 * 1024})
-        s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.warmup_writes == 1
-
-    def test_disable_via_env_skips_checkpoints(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.warmup_writes == 0
-        assert len(diskcache.get_warmup_cache()) == 0
-
-    def test_no_cache_skips_checkpoints(self, cache_dir):
-        run_prefetcher(WORKLOAD, "eip", scale="tiny", use_cache=False)
-        assert run_cache_stats().warmup_writes == 0
-        assert len(diskcache.get_warmup_cache()) == 0
-
-    def test_clear_run_cache_disk_clears_checkpoints(self, cache_dir):
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        assert len(diskcache.get_warmup_cache()) == 1
-        clear_run_cache(disk=True)
-        assert len(diskcache.get_warmup_cache()) == 0
+    shard = cache_dir / "warmup" / "ab"
+    shard.mkdir(parents=True)
+    (shard / ("ab" + "0" * 62 + ".pkl")).write_bytes(b"old checkpoint")
+    run_prefetcher(WORKLOAD, "eip", scale="tiny")
+    assert len(diskcache.get_cache()) == 1
+    assert main(["cache", "clear"]) == 0
+    assert "cleared" in capsys.readouterr().out
+    assert not (cache_dir / "warmup").exists()
+    assert len(diskcache.get_cache()) == 0
 
 
 _SECOND_PROCESS = """
