@@ -46,13 +46,43 @@ from repro.workloads.suite import (
 )
 
 
+def _warmup_fraction(text: str) -> float:
+    """argparse type of ``--warmup``: a fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"warmup fraction must be in [0, 1), got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _add_warmup(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--warmup", type=_warmup_fraction,
+                        default=DEFAULT_WARMUP,
+                        help=f"warmup fraction in [0, 1) "
+                             f"(default: {DEFAULT_WARMUP})")
+
+
 def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", default="bench", choices=sorted(SCALES),
                         help="trace length preset (default: bench)")
     parser.add_argument("--seed", type=int, default=1,
                         help="trace RNG seed (default: 1)")
-    parser.add_argument("--warmup", type=float, default=DEFAULT_WARMUP,
-                        help=f"warmup fraction (default: {DEFAULT_WARMUP})")
+    _add_warmup(parser)
 
 
 def _get_trace(args):
@@ -161,7 +191,7 @@ def cmd_sweep(args) -> int:
     import time
     from pathlib import Path
 
-    from repro.experiments import runner
+    from repro.experiments import diskcache, runner
     from repro.experiments.errors import (
         InvalidConfigError,
         PointFailure,
@@ -171,9 +201,14 @@ def cmd_sweep(args) -> int:
     from repro.experiments.service import JsonlEventLog, ServiceConfig
     from repro.experiments.sweep import grid
 
+    try:
+        # Every worker's cache writes read this floor; reject a bad
+        # value once, before any point runs.
+        diskcache.min_free_bytes()
+    except InvalidConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.clear_cache:
-        from repro.experiments import diskcache
-
         runner.clear_run_cache(disk=True)
         print(f"cleared simulation cache at {diskcache.get_cache().root}")
         if not (args.workloads or args.manifest):
@@ -662,10 +697,15 @@ def cmd_manifest(args) -> int:
 
 def cmd_cache(args) -> int:
     from repro.experiments import diskcache
+    from repro.experiments.errors import InvalidConfigError
 
     cache = diskcache.get_cache()
     if args.action == "info":
-        s = cache.stats()
+        try:
+            s = cache.stats()
+        except InvalidConfigError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         print(f"results: {s['entries']} entries, {s['bytes']} bytes, "
               f"{s['legacy']} legacy flat, {s['quarantined']} "
               f"quarantined, {s['shard_dirs']} shard dir(s) "
@@ -835,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
     probe.add_argument("--prefetcher", default="hierarchical",
                        choices=PREFETCHER_NAMES)
-    probe.add_argument("--interval", type=int, default=20_000,
+    probe.add_argument("--interval", type=_positive_int, default=20_000,
                        help="committed instructions between samples "
                             "(default: 20000)")
     probe.add_argument("--json", action="store_true",
@@ -888,12 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("file", help="trace .npz path")
     replay.add_argument("--prefetcher", default="hierarchical",
                         choices=PREFETCHER_NAMES)
-    replay.add_argument("--warmup", type=float, default=DEFAULT_WARMUP)
+    _add_warmup(replay)
 
     lint = sub.add_parser(
         "lint",
-        help="AST-based project lints (snapshot coverage, determinism, "
-             "hot-loop hygiene, pickle safety); see docs/LINTING.md",
+        help="AST-based project lints (determinism, hot-loop hygiene, "
+             "pickle safety, event schema, error taxonomy, crash "
+             "ordering); see docs/LINTING.md",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
     _add_lint_arguments(lint)

@@ -11,9 +11,7 @@ order — the spatio-temporal encoding shared with PIF/MANA/Jukebox.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
-
-from repro.cpu.component import SimComponent
+from typing import Callable, Iterator, List, Optional
 
 #: Cache blocks covered by one spatial region (paper value).
 REGION_BLOCKS = 32
@@ -77,7 +75,7 @@ class SpatialRegion:
         return f"SpatialRegion(base={self.base:#x}, vector={self.vector:#010x})"
 
 
-class CompressionBuffer(SimComponent):
+class CompressionBuffer:
     """16-entry fully associative FIFO of in-flight spatial regions.
 
     ``sink`` receives each evicted (completed) region; the Hierarchical
@@ -144,12 +142,3 @@ class CompressionBuffer(SimComponent):
     def snapshot(self) -> List[SpatialRegion]:
         """Copy of the current entries, oldest first (for tests)."""
         return [r.copy() for r in self._entries]
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol (``sink`` is wiring and is preserved)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.clear()
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"occupancy": len(self._entries) / self.capacity}

@@ -11,10 +11,9 @@ entries × 8 ways the MAT costs 1.94 KB, which
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.compression import SpatialRegion
-from repro.cpu.component import SimComponent
 
 #: Spatial regions per segment (paper value).
 SEGMENT_REGIONS = 32
@@ -85,7 +84,7 @@ class Segment:
         )
 
 
-class MetadataBuffer(SimComponent):
+class MetadataBuffer:
     """Circular in-memory store of Bundle footprint segments.
 
     Allocation advances a rotating pointer; when the buffer wraps, the
@@ -184,22 +183,6 @@ class MetadataBuffer(SimComponent):
             index = seg.next_seg
         return out
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol (``on_invalidate`` is wiring, preserved)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._segments = [None] * self.n_segments
-        self._next_alloc = 0
-        self.allocations = 0
-        self.reclaims = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        used = sum(1 for s in self._segments if s is not None)
-        return {
-            "used": float(used),
-            "reclaims": float(self.reclaims),
-        }
-
     def __repr__(self) -> str:
         used = sum(1 for s in self._segments if s is not None)
         return (
@@ -208,7 +191,7 @@ class MetadataBuffer(SimComponent):
         )
 
 
-class MetadataAddressTable(SimComponent):
+class MetadataAddressTable:
     """On-chip set-associative Bundle ID -> head-segment pointer table.
 
     Default geometry matches the paper: 512 entries, 8-way, LRU, 24-bit
@@ -283,21 +266,6 @@ class MetadataAddressTable(SimComponent):
         per_entry = tag_bits + self.pointer_bits + 1
         lru_bits = self.n_sets * self.assoc
         return self.n_entries * per_entry + lru_bits
-
-    def reset(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        lookups = self.hits + self.misses
-        return {
-            "occupied": float(len(self)),
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
 
     def __repr__(self) -> str:
         return (

@@ -125,18 +125,14 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
         self._track = cfg.track_bundles
         self._issue_per = cfg.issue_per_commit
         # Commit-hot trace arrays (incl. the precomputed decode tables);
-        # wiring, not state — attach() binds the trace before reset().
+        # attach() binds the trace before calling reset().
         tr = self.trace
-        if tr is not None:
-            self._nin_a = tr.ninstr
-            self._kind_a = tr.kind
-            self._tgt_a = tr.target
-            self._tag_a = tr.tagged
-            self._b0_a = tr.block0
-            self._b1_a = tr.block1
-        else:
-            self._nin_a = self._kind_a = self._tgt_a = None
-            self._tag_a = self._b0_a = self._b1_a = None
+        self._nin_a = tr.ninstr
+        self._kind_a = tr.kind
+        self._tgt_a = tr.target
+        self._tag_a = tr.tagged
+        self._b0_a = tr.block0
+        self._b1_a = tr.block1
         self._bundle_insts = 0
         self._fifo: list = []          # (block, extra_latency) pending issue
         self._fifo_pos = 0
@@ -311,22 +307,6 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
     def _region_evicted(self, region) -> None:
         if self.record.active:
             self.record.observe_region(region)
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = {
-            "bundles_triggered": float(self._bundles_triggered),
-            "mat_hit_rate": (
-                self._mat_hits / self._bundles_triggered
-                if self._bundles_triggered else 0.0
-            ),
-            "fifo_pending": float(len(self._fifo) - self._fifo_pos),
-        }
-        for name, unit in (("mat", self.mat), ("replay", self.replay),
-                           ("compression", self.compression)):
-            if unit is not None:
-                for key, value in unit.stats_snapshot().items():
-                    out[f"{name}.{key}"] = value
-        return out
 
     # ------------------------------------------------------------------
     def on_measurement_start(self) -> None:

@@ -11,11 +11,10 @@ most recent execution's footprint survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.compression import SpatialRegion
 from repro.core.metadata import MetadataBuffer, Segment
-from repro.cpu.component import SimComponent
 
 #: Default cap on segments per Bundle record ("a predetermined
 #: threshold" in §5.3; 64 segments = 2048 spatial regions).
@@ -34,7 +33,7 @@ class RecordResult:
     truncated: bool
 
 
-class RecordEngine(SimComponent):
+class RecordEngine:
     """Writes one Bundle's spatial-region stream into the Metadata Buffer."""
 
     def __init__(
@@ -140,22 +139,6 @@ class RecordEngine(SimComponent):
         self._current = None
         self._chain = []
         self._reuse = []
-
-    def reset(self) -> None:
-        self._bundle_id = -1
-        self._reuse = []
-        self._chain = []
-        self._current = None
-        self._n_regions = 0
-        self._insts = 0
-        self._truncated = False
-        self.active = False
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "active": 1.0 if self.active else 0.0,
-            "chain_segments": float(len(self._chain)),
-        }
 
     # ------------------------------------------------------------------
     def _open_segment(self, num_insts: int) -> None:

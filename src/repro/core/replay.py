@@ -10,11 +10,10 @@ number of instructions executed inside the Bundle surpasses the
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.compression import SpatialRegion
 from repro.core.metadata import MetadataBuffer
-from repro.cpu.component import SimComponent
 
 
 class SegmentView:
@@ -40,7 +39,7 @@ class SegmentView:
                 f"regions={len(self.regions)}, num_insts={self.num_insts})")
 
 
-class ReplayEngine(SimComponent):
+class ReplayEngine:
     """Paced cursor over one Bundle's segment chain."""
 
     def __init__(self, buffer: MetadataBuffer, initial_segments: int = 2):
@@ -111,13 +110,3 @@ class ReplayEngine(SimComponent):
     @property
     def remaining_segments(self) -> int:
         return max(0, len(self._segments) - self._cursor)
-
-    def reset(self) -> None:
-        self.stop()
-        self._bundle_id = -1
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "active": 1.0 if self.active else 0.0,
-            "remaining": float(self.remaining_segments),
-        }

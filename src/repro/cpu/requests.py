@@ -115,14 +115,6 @@ class RequestLatencyTracker:
                               else _NO_BOUNDARY)
         # lint: hot-end
 
-    def reset(self) -> None:
-        self.active = False
-        self.next_boundary = _NO_BOUNDARY
-        self._bounds = []
-        self._bptr = 0
-        self._times = []
-        self._times_append = self._times.append
-
     # ------------------------------------------------------------------
     def publish(self, stats) -> None:
         """Write per-request series and summary metrics into ``stats``."""

@@ -17,11 +17,9 @@ warmup boundary while all microarchitectural state (caches, runahead
 position, prefetcher metadata) persists — mirroring the paper's
 100M-warmup / 100M-measure methodology at reduced scale.
 
-The machine is composed of :class:`~repro.cpu.component.SimComponent`
-models held in a :class:`~repro.cpu.component.ComponentRegistry`; the
-simulator is itself a ``SimComponent`` whose ``reset`` re-arms the
-whole machine for another run.  ``run`` splits into :meth:`warmup` /
-:meth:`measure`.  An optional
+A simulator is built, runs one trace once and is discarded: a second
+run raises rather than start from stale microarchitectural state.
+``run`` splits into :meth:`warmup` / :meth:`measure`.  An optional
 :class:`~repro.cpu.probes.ProbeBus` samples the machine every
 ``probe_interval`` measured instructions by pre-splitting the
 measurement window at probe boundaries — the hot loop itself is never
@@ -30,9 +28,8 @@ instrumented.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.cpu.component import ComponentRegistry, SimComponent
 from repro.cpu.config import DEFAULT_WARMUP, MachineConfig
 from repro.cpu.probes import ProbeBus
 from repro.cpu.requests import RequestLatencyTracker
@@ -42,7 +39,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import InstructionTLB
 
 
-class FrontEndSimulator(SimComponent):
+class FrontEndSimulator:
     """One simulated core running one trace."""
 
     def __init__(
@@ -54,25 +51,15 @@ class FrontEndSimulator(SimComponent):
         track_requests: Optional[bool] = None,
     ):
         self.config = config or MachineConfig()
-        self.components = ComponentRegistry()
-        self.stats = self.components.register("stats", SimStats())
-        self.hierarchy = self.components.register(
-            "hierarchy", MemoryHierarchy(self.config.hierarchy, self.stats)
-        )
-        self.frontend = self.components.register(
-            "frontend", FDIPFrontEnd(self.config.frontend, self.stats)
-        )
-        self.itlb = self.components.register(
-            "itlb",
-            InstructionTLB(
-                self.config.core.itlb_entries,
-                self.config.core.itlb_walk_latency,
-                policy=self.config.core.itlb_policy,
-            ),
+        self.stats = SimStats()
+        self.hierarchy = MemoryHierarchy(self.config.hierarchy, self.stats)
+        self.frontend = FDIPFrontEnd(self.config.frontend, self.stats)
+        self.itlb = InstructionTLB(
+            self.config.core.itlb_entries,
+            self.config.core.itlb_walk_latency,
+            policy=self.config.core.itlb_policy,
         )
         self.prefetcher = prefetcher
-        if prefetcher is not None:
-            self.components.register("prefetcher", prefetcher)
         if track_block_misses:
             self.hierarchy.l2_miss_map = {}
         self.probes = ProbeBus(probe_interval)
@@ -85,10 +72,8 @@ class FrontEndSimulator(SimComponent):
         self._track_requests = track_requests
         self.reqtrack = RequestLatencyTracker()
         self.now = 0.0
-        self.commit_index = 0
         self.trace = None
         self._ran = False
-        self._measuring = False
         self._next_index = 0
         self._last_block = -1
         self._last_page = -1
@@ -117,8 +102,6 @@ class FrontEndSimulator(SimComponent):
             raise ValueError("warmup_fraction must be in [0, 1)")
         self._begin_run(trace)
         warmup_end = int(len(trace) * warmup_fraction)
-        self._last_block = -1
-        self._last_page = -1
         if warmup_end:
             self._run_range(0, warmup_end)
         self._next_index = warmup_end
@@ -130,8 +113,7 @@ class FrontEndSimulator(SimComponent):
         if trace is None:
             raise RuntimeError("no trace bound; call warmup() first")
         n = len(trace)
-        if not self._measuring:
-            self._begin_measurement()
+        self._begin_measurement()
         probes = self.probes
         reqtrack = self.reqtrack
         if probes.enabled or reqtrack.active:
@@ -173,7 +155,7 @@ class FrontEndSimulator(SimComponent):
             raise RuntimeError(
                 "this FrontEndSimulator already ran a trace; stale "
                 "microarchitectural state would corrupt a second run — "
-                "call reset() first or construct a fresh simulator"
+                "construct a fresh simulator"
             )
         if len(trace) == 0:
             raise ValueError("empty trace")
@@ -197,7 +179,6 @@ class FrontEndSimulator(SimComponent):
         self._itlb_pfh0 = self.itlb.pf_hits
         self._last_block = -1
         self._last_page = -1
-        self._measuring = True
         if self.prefetcher is not None:
             self.prefetcher.on_measurement_start()
         self.probes.begin()
@@ -221,7 +202,6 @@ class FrontEndSimulator(SimComponent):
         stats.itlb_pf_probes = self.itlb.pf_probes - self._itlb_pfp0
         stats.itlb_pf_installs = self.itlb.pf_installs - self._itlb_pfi0
         stats.itlb_pf_hits = self.itlb.pf_hits - self._itlb_pfh0
-        self._measuring = False
         if self.prefetcher is not None:
             self.prefetcher.on_measurement_end()
         self.probes.publish(stats)
@@ -327,40 +307,8 @@ class FrontEndSimulator(SimComponent):
         stats.stall_mispredict += stall_mispredict
         frontend.flush_branch_stats()
         self.now = now
-        self.commit_index = (
-            end - 1 if end > start else self.commit_index
-        )
         self._last_block = last_block
         self._last_page = last_page
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol: the whole machine
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Return the whole machine to power-on state for another run."""
-        self.components.reset()
-        self.now = 0.0
-        self.commit_index = 0
-        self.trace = None
-        self._ran = False
-        self._measuring = False
-        self._next_index = 0
-        self._last_block = -1
-        self._last_page = -1
-        self._cycle0 = 0.0
-        self._itlb_acc0 = 0
-        self._itlb_miss0 = 0
-        self._itlb_pfp0 = 0
-        self._itlb_pfi0 = 0
-        self._itlb_pfh0 = 0
-        self.probes.begin()
-        self.reqtrack.reset()
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = self.components.stats_snapshot()
-        out["now"] = self.now
-        out["next_index"] = float(self._next_index)
-        return out
 
 
 def simulate(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.cpu.component import SimComponent
-
 #: Serving-level keys for miss/latency accounting.
 LEVEL_L2 = "L2"
 LEVEL_LLC = "LLC"
@@ -28,7 +26,7 @@ def _per_level() -> Dict[str, int]:
     return {LEVEL_L2: 0, LEVEL_LLC: 0, LEVEL_DRAM: 0}
 
 
-class SimStats(SimComponent):
+class SimStats:
     """All counters collected during one simulation run."""
 
     def __init__(self) -> None:
@@ -242,13 +240,6 @@ class SimStats(SimComponent):
         stats = cls()
         stats.load_state_dict(state)
         return stats
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "ipc": self.ipc,
-            "l1i_mpki": self.l1i_mpki,
-            "instructions": float(self.instructions),
-        }
 
     def __eq__(self, other: object) -> bool:
         """Field-exact equality (every raw counter identical)."""

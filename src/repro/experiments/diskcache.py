@@ -51,7 +51,9 @@ Environment knobs:
     size, whichever is larger) are *refused* — reported to the
     corruption listeners as a
     :class:`~repro.experiments.errors.DiskFullError` — rather than
-    risk torn writes racing ENOSPC.  ``0`` disables the guard.
+    risk torn writes racing ENOSPC.  ``0`` disables the guard; any
+    value that is not a non-negative integer is an
+    :class:`~repro.experiments.errors.InvalidConfigError`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional
 
-from repro.experiments.errors import CorruptArtifactError, DiskFullError
+from repro.experiments.errors import (
+    CorruptArtifactError,
+    DiskFullError,
+    InvalidConfigError,
+)
 
 #: Bump whenever the payload layout or the meaning of cached counters
 #: changes; old entries are then ignored (and lazily overwritten).
@@ -89,16 +95,22 @@ DEFAULT_MIN_FREE_BYTES = 32 * 1024 * 1024
 
 
 def min_free_bytes() -> int:
-    """The configured free-space floor (``REPRO_CACHE_MIN_FREE``),
-    falling back to :data:`DEFAULT_MIN_FREE_BYTES` when unset or
-    unparsable.  ``0`` disables the disk-space guard."""
+    """The configured free-space floor (``REPRO_CACHE_MIN_FREE``), or
+    :data:`DEFAULT_MIN_FREE_BYTES` when unset.  ``0`` disables the
+    disk-space guard; a value that is not a non-negative integer raises
+    :class:`~repro.experiments.errors.InvalidConfigError`."""
     raw = os.environ.get(_ENV_MIN_FREE, "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_MIN_FREE_BYTES
+    if not raw:
+        return DEFAULT_MIN_FREE_BYTES
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidConfigError(
+            f"{_ENV_MIN_FREE}={raw!r} is not a non-negative integer "
+            "byte count (0 disables the disk-space guard)")
+    return value
 
 #: Callables invoked with a :class:`CorruptArtifactError` each time any
 #: DiskCache instance quarantines a file (runner uses this to surface a

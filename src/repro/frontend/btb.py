@@ -10,12 +10,10 @@ models the infinite-BTB study of Figure 14.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
-
-from repro.cpu.component import SimComponent
+from typing import List, Optional
 
 
-class BranchTargetBuffer(SimComponent):
+class BranchTargetBuffer:
     """LRU set-associative BTB; default geometry is 8K entries, 8-way."""
 
     def __init__(self, n_entries: Optional[int] = 8192, assoc: int = 8):
@@ -81,21 +79,6 @@ class BranchTargetBuffer(SimComponent):
     @property
     def miss_rate(self) -> float:
         return self.misses / self.lookups if self.lookups else 0.0
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        if self.infinite:
-            self._all.clear()
-        else:
-            for entries in self._sets:
-                entries.clear()
-        self.lookups = 0
-        self.misses = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"resident": float(len(self)), "miss_rate": self.miss_rate}
 
     def __repr__(self) -> str:
         size = "inf" if self.infinite else self.n_sets * self.assoc

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.cpu.component import SimComponent
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
 from repro.frontend.ras import ReturnAddressStack
@@ -197,7 +196,7 @@ def _predict_trace(trace, btb_entries: Optional[int], btb_assoc: int,
     return bytes(codes)
 
 
-class FDIPFrontEnd(SimComponent):
+class FDIPFrontEnd:
     """Decoupled front-end model bound to one trace.
 
     ``penalties`` is the public pending-penalty map (trace index →
@@ -219,13 +218,13 @@ class FDIPFrontEnd(SimComponent):
         # (equal to ptr at every commit-range boundary).
         self._flushed = 0
         # Bound trace arrays, the trace's branch oracle and bind-time
-        # constants: rebuilt wholesale by bind(), so reset() leaves them.
-        self._b0 = self._b1 = self._page = None  # lint: ephemeral
-        self._oracle = self._outcome = None  # lint: ephemeral
-        self._n = 0  # lint: ephemeral
-        self._ftq = params.ftq_entries  # lint: ephemeral
-        self._issue = False  # lint: ephemeral
-        self._tlb_pf = None  # lint: ephemeral
+        # constants, set by bind().
+        self._b0 = self._b1 = self._page = None
+        self._oracle = self._outcome = None
+        self._n = 0
+        self._ftq = params.ftq_entries
+        self._issue = False
+        self._tlb_pf = None
 
     def bind(self, trace, hierarchy, itlb=None,
              itlb_prefetch: bool = False) -> None:
@@ -243,11 +242,9 @@ class FDIPFrontEnd(SimComponent):
         self._page = trace.page
         self._n = len(trace)
         self.hierarchy = hierarchy
-        self._ftq = self.params.ftq_entries
         self._issue = self.params.issue_prefetches and hierarchy is not None
         self._tlb_pf = (itlb.prefetch
                         if itlb_prefetch and itlb is not None else None)
-        self.reset()
 
     def penalty_at(self, i: int) -> int:
         """Penalty kind charged when block ``i`` commits (consumed)."""
@@ -308,18 +305,3 @@ class FDIPFrontEnd(SimComponent):
         for name, count in self._oracle.counts(start, end).items():
             setattr(stats, name, getattr(stats, name) + count)
         self._flushed = end
-
-    def reset(self) -> None:
-        self.penalties.clear()
-        self._ptr = 0
-        self._blocked_at = -1
-        self._flushed = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        """The runahead position and each branch counter over every
-        block predicted so far (warmup included)."""
-        out = {"runahead": float(self._ptr)}
-        if self._oracle is not None:
-            for name, count in self._oracle.counts(0, self._ptr).items():
-                out[name] = float(count)
-        return out

@@ -9,9 +9,7 @@ here the same tagged-geometric structure predicts the targets of
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.cpu.component import SimComponent
+from typing import List, Sequence, Tuple
 
 DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
     (512, 4, 9),
@@ -20,7 +18,7 @@ DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
 )
 
 
-class ITTagePredictor(SimComponent):
+class ITTagePredictor:
     """Fused predict/update indirect target predictor."""
 
     def __init__(
@@ -114,21 +112,6 @@ class ITTagePredictor(SimComponent):
         if not self.predictions:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
-
-    def reset(self) -> None:
-        for i in range(len(self.base_target)):
-            self.base_target[i] = 0
-        for t, (size, _, _) in enumerate(self.tables):
-            self.tag[t] = [-1] * size
-            self.target[t] = [0] * size
-            self.conf[t] = [0] * size
-        self.phist = 0
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"accuracy": self.accuracy,
-                "predictions": float(self.predictions)}
 
     def __repr__(self) -> str:
         return (

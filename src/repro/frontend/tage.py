@@ -15,15 +15,12 @@ shift register: when the GHR shifts in outcome bit ``b`` and drops bit
 ``L-1``, the folded value is rotated by one with ``b`` XORed in at bit 0
 and the dropped bit XORed out at position ``L mod B``.  The registers
 are exactly equal to :meth:`TagePredictor._fold` of the current GHR at
-all times (pinned by tests/test_frontend_units.py), and are rebuilt from
-the GHR on ``reset``.
+all times (pinned by tests/test_frontend_units.py).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.cpu.component import SimComponent
+from typing import List, Sequence, Tuple
 
 # (table size, history length, tag bits) per tagged table.
 DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
@@ -51,7 +48,7 @@ class _Xorshift:
         return x
 
 
-class TagePredictor(SimComponent):
+class TagePredictor:
     """Fused predict/update TAGE with a 2-bit bimodal base."""
 
     def __init__(
@@ -85,12 +82,10 @@ class TagePredictor(SimComponent):
                 meta += [hist_len % width, width, (1 << width) - 1]
             self._fold_meta.append(tuple(meta))
         self.ghr = 0
-        # Folded-history registers are derived from the GHR; reset()
-        # recomputes them via _rebuild_folds().
-        self._f_idx: List[int] = []
-        self._f_tag: List[int] = []
-        self._f_tag2: List[int] = []
-        self._rebuild_folds()
+        # Folded-history registers: every fold of the empty GHR is 0.
+        self._f_idx: List[int] = [0] * len(self.tables)
+        self._f_tag: List[int] = [0] * len(self.tables)
+        self._f_tag2: List[int] = [0] * len(self.tables)
         self._rng = _Xorshift()
         self.predictions = 0
         self.mispredictions = 0
@@ -103,14 +98,6 @@ class TagePredictor(SimComponent):
             folded ^= value & ((1 << out_bits) - 1)
             value >>= out_bits
         return folded
-
-    def _rebuild_folds(self) -> None:
-        """Recompute every folded register directly from the GHR."""
-        ghr = self.ghr
-        self._f_idx = [self._fold(ghr, h, s.bit_length() - 1)
-                       for s, h, _ in self.tables]
-        self._f_tag = [self._fold(ghr, h, tb) for _, h, tb in self.tables]
-        self._f_tag2 = [self._fold(ghr, h, tb - 1) for _, h, tb in self.tables]
 
     def _index_tag(self, pc: int, table: int) -> Tuple[int, int]:
         """Reference index/tag hash (the folded registers reproduce it)."""
@@ -241,23 +228,6 @@ class TagePredictor(SimComponent):
         if not self.predictions:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
-
-    def reset(self) -> None:
-        for i in range(len(self.bimodal)):
-            self.bimodal[i] = 1
-        for t, (size, _, _) in enumerate(self.tables):
-            self.ctr[t] = [0] * size
-            self.tag[t] = [-1] * size
-            self.useful[t] = [0] * size
-        self.ghr = 0
-        self._rebuild_folds()
-        self._rng = _Xorshift()
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"accuracy": self.accuracy,
-                "predictions": float(self.predictions)}
 
     def __repr__(self) -> str:
         return (

@@ -1,18 +1,21 @@
 """Project-specific static analysis (``repro lint``).
 
-Four AST-based rules enforce the invariants the dynamic test suite can
+Six AST-based rules enforce the invariants the dynamic test suite can
 only spot-check:
 
-* ``snapshot-coverage`` — every mutable attribute of a ``SimComponent``
-  subclass must be restored by ``reset``, and captured by
-  ``state_dict``/``load_state_dict`` where the class defines them
-  (``SimStats``; waive derived state with ``# lint: ephemeral``);
 * ``determinism`` — no wall-clock, unseeded RNG, environment reads, or
   hash/set-order hazards on the simulation path;
-* ``hotloop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no
+* ``hot-loop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no
   repeated attribute chains, per-iteration allocation, or global
-  lookups (the hoists PR 3 made must not regress);
-* ``picklesafe`` — nothing unpicklable crosses the sweep worker spawn.
+  lookups;
+* ``pickle-safety`` — nothing unpicklable crosses the sweep worker
+  spawn;
+* ``event-schema`` — emitted and consumed events match the declared
+  schema table;
+* ``error-taxonomy`` — every raise in the experiment layer resolves to
+  the taxonomy root;
+* ``crash-ordering`` — annotated crash-consistency regions keep their
+  write/fsync/rename order.
 
 See ``docs/LINTING.md`` for rule semantics and the waiver syntax.
 """

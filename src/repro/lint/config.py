@@ -35,12 +35,6 @@ DEFAULT_ENV_OK_PATHS = (
     "src/repro/experiments",
 )
 
-#: Attributes that are machine wiring, never serialized state (see
-#: docs/ARCHITECTURE.md §1 "Wiring is not state").
-DEFAULT_WIRING_ATTRS = (
-    "sim", "trace", "hierarchy", "stats", "params", "config",
-)
-
 #: Callables whose arguments cross a pickling process boundary.
 DEFAULT_BOUNDARY_CALLABLES = (
     "Process", "apply_async", "submit", "map_async", "starmap_async",
@@ -90,13 +84,9 @@ class LintConfig:
     paths: Tuple[str, ...] = ("src/repro",)
     determinism_paths: Tuple[str, ...] = DEFAULT_DETERMINISM_PATHS
     env_ok_paths: Tuple[str, ...] = DEFAULT_ENV_OK_PATHS
-    wiring_attrs: Tuple[str, ...] = DEFAULT_WIRING_ATTRS
     boundary_callables: Tuple[str, ...] = DEFAULT_BOUNDARY_CALLABLES
     fenced_paths: Tuple[str, ...] = DEFAULT_FENCED_PATHS
     cache_file: str = ".repro-lint-cache.json"
-    #: Waiver kinds honored in source comments; removing one from the
-    #: config turns the corresponding waivers off repo-wide.
-    waivers: Tuple[str, ...] = ("ephemeral", "allow")
     src_roots: Tuple[str, ...] = DEFAULT_SRC_ROOTS
     #: ``path::NAME`` of the declarative event-schema dict literal.
     event_schema_table: str = "src/repro/experiments/service.py::EVENT_SCHEMA"
@@ -122,11 +112,9 @@ _TABLE_KEYS = {
     "paths": "paths",
     "determinism-paths": "determinism_paths",
     "env-ok-paths": "env_ok_paths",
-    "wiring-attrs": "wiring_attrs",
     "boundary-callables": "boundary_callables",
     "fenced-paths": "fenced_paths",
     "cache-file": "cache_file",
-    "waivers": "waivers",
     "src-roots": "src_roots",
     "event-schema-table": "event_schema_table",
     "event-consumer-paths": "event_consumer_paths",

@@ -283,7 +283,7 @@ def _analyze_file(tree: Optional[ast.Module], path: Path, rel: str,
                 "severity": ERROR,
             }]
         return summary
-    directives = scan_directives(source, config)
+    directives = scan_directives(source)
     summary["allows"] = {str(line): sorted(rules_)
                          for line, rules_ in directives.allows.items()}
     summary["project"] = build_file_index(tree, rel, config, known)

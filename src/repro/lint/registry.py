@@ -16,14 +16,12 @@ from repro.lint.rules import (
     EventSchemaRule,
     HotLoopRule,
     PickleSafetyRule,
-    SnapshotCoverageRule,
 )
 from repro.lint.rules.base import Rule
 
 RULES: Dict[str, Rule] = {
     rule.name: rule
     for rule in (
-        SnapshotCoverageRule(),
         DeterminismRule(),
         HotLoopRule(),
         PickleSafetyRule(),

@@ -9,10 +9,9 @@ Each rule module exposes a class with:
   a whole run into :class:`~repro.lint.findings.Finding` records,
   with the shared :class:`~repro.lint.project.ProjectGraph` available
   for cross-file resolution.  Most per-file rules emit findings
-  directly from ``analyze``; ``snapshot-coverage`` resolves the
-  ``SimComponent`` hierarchy at report time, and the project-level
-  rules (``event-schema``, ``error-taxonomy``) consult the graph
-  there.
+  directly from ``analyze``; the project-level rules
+  (``event-schema``, ``error-taxonomy``) consult the graph at report
+  time.
 """
 
 from repro.lint.rules.determinism import DeterminismRule
@@ -20,7 +19,6 @@ from repro.lint.rules.event_schema import EventSchemaRule
 from repro.lint.rules.hotloop import HotLoopRule
 from repro.lint.rules.ordering import CrashOrderingRule
 from repro.lint.rules.pickles import PickleSafetyRule
-from repro.lint.rules.snapshot import SnapshotCoverageRule
 from repro.lint.rules.taxonomy import ErrorTaxonomyRule
 
 __all__ = [
@@ -30,5 +28,4 @@ __all__ = [
     "EventSchemaRule",
     "HotLoopRule",
     "PickleSafetyRule",
-    "SnapshotCoverageRule",
 ]

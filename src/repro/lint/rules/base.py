@@ -20,8 +20,6 @@ _DIRECTIVE_RE = re.compile(r"^#\s*lint:\s*([a-z-]+)(?:\[([^\]]*)\])?")
 class Directives:
     """Lint directives scanned from one file's comments."""
 
-    #: Lines bearing ``# lint: ephemeral`` (snapshot-coverage waiver).
-    ephemeral: Set[int] = field(default_factory=set)
     #: Line -> rule names from ``# lint: allow[rule, ...]``.
     allows: Dict[int, Set[str]] = field(default_factory=dict)
     #: ``# lint: hot-begin`` .. ``# lint: hot-end`` line ranges.
@@ -45,7 +43,7 @@ def _comment_tokens(source: str) -> List[Tuple[int, str]]:
         return []
 
 
-def scan_directives(source: str, config: LintConfig) -> Directives:
+def scan_directives(source: str) -> Directives:
     """Parse every ``# lint:`` comment in a file (1-indexed lines)."""
     out = Directives()
     open_fence: Optional[int] = None
@@ -55,15 +53,12 @@ def scan_directives(source: str, config: LintConfig) -> Directives:
         if not m:
             continue
         kind, payload = m.group(1), m.group(2)
-        if kind == "ephemeral":
-            if "ephemeral" in config.waivers:
-                out.ephemeral.add(lineno)
-        elif kind == "allow":
+        if kind == "allow":
             if not payload:
                 out.problems.append(
                     (lineno, "allow waiver needs rule names: "
                              "# lint: allow[rule, ...]"))
-            elif "allow" in config.waivers:
+            else:
                 rules = {r.strip() for r in payload.split(",") if r.strip()}
                 out.allows.setdefault(lineno, set()).update(rules)
         elif kind == "hot-begin":
@@ -108,16 +103,6 @@ class FileContext:
     tree: ast.Module
     directives: Directives
     config: LintConfig
-
-    def waived_ephemeral(self, node: ast.AST) -> bool:
-        """Is ``node``'s statement covered by ``# lint: ephemeral``?
-
-        The marker sits either on the statement's first line or on the
-        line directly above it.
-        """
-        line = getattr(node, "lineno", 0)
-        eph = self.directives.ephemeral
-        return line in eph or (line - 1) in eph
 
 
 class Rule:

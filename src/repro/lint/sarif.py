@@ -19,7 +19,6 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
 
 #: Per-rule one-liners surfaced in SARIF viewers.
 RULE_DESCRIPTIONS = {
-    "snapshot-coverage": "Mutable component state must be reset.",
     "determinism": "Simulation code must stay deterministic.",
     "hot-loop": "Fenced hot loops must stay allocation-free.",
     "pickle-safety": "Worker-boundary arguments must pickle cleanly.",

@@ -16,9 +16,7 @@ policy-independent by design — every policy promotes a hit to MRU — so
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
-
-from repro.cpu.component import SimComponent
+from typing import List, Optional, Tuple
 
 #: Fill origins.
 ORIGIN_DEMAND = 0
@@ -33,7 +31,7 @@ E_ISSUE = 2
 E_DIRTY = 3
 
 
-class SetAssocCache(SimComponent):
+class SetAssocCache:
     """Set-associative cache over abstract block indices.
 
     ``policy`` is a :class:`~repro.memory.policies.ReplacementPolicy`
@@ -113,16 +111,6 @@ class SetAssocCache(SimComponent):
     def clear(self) -> None:
         for entries in self._sets:
             entries.clear()
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.clear()
-        self.policy.reset()
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"occupancy": len(self) / self.capacity_blocks}
 
     def resident_blocks(self) -> List[int]:
         """All resident block indices (test/analysis helper)."""

@@ -15,9 +15,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.cpu.component import SimComponent
 from repro.cpu.stats import LEVEL_DRAM, LEVEL_L2, LEVEL_LLC, SimStats
 from repro.memory.cache import (
     E_DIRTY,
@@ -63,7 +62,7 @@ class HierarchyParams:
     policy: str = "lru"
 
 
-class MemoryHierarchy(SimComponent):
+class MemoryHierarchy:
     """Instruction-side memory hierarchy with asynchronous prefetch fills."""
 
     def __init__(self, params: HierarchyParams, stats: SimStats):
@@ -290,31 +289,6 @@ class MemoryHierarchy(SimComponent):
 
     def pending_count(self) -> int:
         return len(self._pending)
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.l1i.reset()
-        self.l2.reset()
-        self.llc.reset()
-        self._inflight.clear()
-        self._heap.clear()
-        self._pending.clear()
-        self._fill_seq = 0
-        self.access_clock = 0
-        if self.l2_miss_map is not None:
-            self.l2_miss_map.clear()
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = {}
-        for name, cache in (("l1i", self.l1i), ("l2", self.l2),
-                            ("llc", self.llc)):
-            for key, value in cache.stats_snapshot().items():
-                out[f"{name}.{key}"] = value
-        out["inflight"] = float(len(self._inflight))
-        out["pending"] = float(len(self._pending))
-        return out
 
     # ------------------------------------------------------------------
     # Internals

@@ -20,16 +20,14 @@ first while unused.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
 
-from repro.cpu.component import SimComponent
 from repro.memory.cache import E_USED, ORIGIN_DEMAND, ORIGIN_PF
 
 #: Page-walk latency in cycles charged on a TLB miss.
 DEFAULT_WALK_LATENCY = 40
 
 
-class InstructionTLB(SimComponent):
+class InstructionTLB:
     """Fully associative I-TLB over page indices.
 
     ``policy`` is a :class:`~repro.memory.policies.ReplacementPolicy`
@@ -94,18 +92,6 @@ class InstructionTLB(SimComponent):
             entries, page, [origin, False], self.n_entries
         )
         return self.walk_latency
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.policy.reset()
-        self.accesses = 0
-        self.misses = 0
-        self.pf_probes = 0
-        self.pf_installs = 0
-        self.pf_hits = 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"resident": float(len(self)), "miss_rate": self.miss_rate}
 
     def __contains__(self, page: int) -> bool:
         return page in self._entries

@@ -4,22 +4,22 @@ A prefetcher is attached to a :class:`~repro.cpu.simulator.FrontEndSimulator`
 and observes the committed instruction stream through three hooks; it
 issues requests through ``self.hierarchy.prefetch(...)`` with origin
 ``ORIGIN_PF`` so accuracy/coverage/timeliness accounting attributes them
-correctly.
+correctly.  Like the simulator it serves, a prefetcher runs once: it is
+attached to one machine and discarded with it.
 """
 
 from __future__ import annotations
 
-from repro.cpu.component import SimComponent
 from repro.memory.cache import ORIGIN_PF
 
 
-class InstructionPrefetcher(SimComponent):
+class InstructionPrefetcher:
     """Base class; subclasses override the ``on_*`` hooks they need.
 
     ``sim``, ``trace``, ``hierarchy``, ``stats`` and ``_itlb_pf`` (a
     bound method of the machine's I-TLB, or None) are wiring set by
     :meth:`attach`; everything else is prefetcher-owned state that
-    :meth:`reset` clears.
+    :meth:`reset` builds, once, at attach time.
     """
 
     name = "base"
@@ -29,21 +29,30 @@ class InstructionPrefetcher(SimComponent):
         self.trace = None
         self.hierarchy = None
         self.stats = None
-        self._itlb_pf = None  # lint: ephemeral
+        self._itlb_pf = None
 
     def attach(self, sim, trace) -> None:
-        """Bind to a simulator and trace before the run starts."""
+        """Bind to a simulator and trace before the run starts.
+
+        Raises :class:`RuntimeError` if this prefetcher is already
+        attached: its learned state belongs to that machine's run.
+        """
+        if self.sim is not None:
+            raise RuntimeError(
+                f"this {type(self).__name__} is already attached to a "
+                "simulator; construct a fresh prefetcher for another run"
+            )
         self.sim = sim
         self.trace = trace
         self.hierarchy = sim.hierarchy
         self.stats = sim.stats
-        self._itlb_pf = (  # lint: ephemeral
+        self._itlb_pf = (
             sim.itlb.prefetch if sim.config.core.itlb_prefetch else None
         )
         self.reset()
 
     def reset(self) -> None:
-        """Clear run-local state (called from :meth:`attach`)."""
+        """Build run-local state (called once, from :meth:`attach`)."""
 
     # ------------------------------------------------------------------
     # Hooks called by the simulator

@@ -26,6 +26,35 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "beego", "--scale", "huge"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "mysql_sibench", "--scale", "tiny"],
+        ["compare", "mysql_sibench", "--scale", "tiny"],
+        ["sweep", "mysql_sibench", "--scale", "tiny"],
+        ["probe", "mysql_sibench", "--scale", "tiny"],
+        ["replay", "missing.npz"],
+    ])
+    @pytest.mark.parametrize("warmup", ["1.5", "1", "-0.1", "nan", "x"])
+    def test_warmup_outside_unit_interval_rejected(self, argv, warmup,
+                                                   capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--warmup", warmup])
+        assert info.value.code == 2
+        assert "--warmup" in capsys.readouterr().err
+
+    def test_warmup_bounds_accepted(self):
+        for warmup in ("0", "0.999"):
+            args = build_parser().parse_args(
+                ["run", "beego", "--warmup", warmup])
+            assert args.warmup == float(warmup)
+
+    @pytest.mark.parametrize("interval", ["0", "-5", "x"])
+    def test_probe_interval_must_be_positive(self, interval, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["probe", "mysql_sibench", "--scale", "tiny",
+                  "--interval", interval])
+        assert info.value.code == 2
+        assert "--interval" in capsys.readouterr().err
+
 
 class TestCompareFlow:
     def test_compare_single_prefetcher(self, capsys):

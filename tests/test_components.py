@@ -1,11 +1,13 @@
-"""The SimComponent protocol: ``reset`` round-trips for every model.
+"""Fresh parts start clean; probes; the run-once guards.
 
-The protocol's contract is that ``reset()`` returns a component to its
-power-on state: a used-then-reset component must behave bit-identically
-to a freshly constructed one (same configuration).  Unit sections drive
-each component with randomized operation sequences (hypothesis); machine
-sections assert that a simulator reset after a run re-runs with
-``SimStats`` exactly equal to a fresh machine's.
+A machine is built, runs one trace once and is discarded, so every
+point of an in-process sweep builds its parts afresh.  The unit
+sections drive one instance of each model with randomized operation
+sequences (hypothesis) and require a twin built afterwards to start at
+the same power-on state as one built before any use, and to answer
+every operation the same way: no model may share mutable state across
+instances.  The machine sections require the same of whole simulators
+that run one after another in one process on one trace.
 """
 
 from collections import deque
@@ -15,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compression import CompressionBuffer
 from repro.core.metadata import MetadataAddressTable, MetadataBuffer
-from repro.cpu.component import ComponentRegistry, SimComponent
 from repro.cpu.simulator import FrontEndSimulator
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
@@ -34,51 +35,14 @@ ALL_PREFETCHERS = [None] + [n for n in PREFETCHER_NAMES if n != "fdip"]
 
 
 # ======================================================================
-# Protocol basics
-# ======================================================================
-class TestProtocol:
-    def test_base_methods_abstract(self):
-        comp = SimComponent()
-        with pytest.raises(NotImplementedError):
-            comp.reset()
-        assert comp.stats_snapshot() == {}
-
-
-class TestRegistry:
-    def test_register_returns_component(self):
-        reg = ComponentRegistry()
-        tlb = reg.register("itlb", InstructionTLB(4))
-        assert isinstance(tlb, InstructionTLB)
-        assert reg["itlb"] is tlb
-        assert "itlb" in reg and len(reg) == 1
-        assert reg.names() == ("itlb",)
-
-    def test_register_rejects_non_component(self):
-        reg = ComponentRegistry()
-        with pytest.raises(TypeError, match="SimComponent"):
-            reg.register("x", object())
-
-    def test_register_rejects_duplicate(self):
-        reg = ComponentRegistry()
-        reg.register("tlb", InstructionTLB(4))
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("tlb", InstructionTLB(4))
-
-    def test_stats_snapshot_prefixes_names(self):
-        reg = ComponentRegistry()
-        reg.register("itlb", InstructionTLB(4))
-        snap = reg.stats_snapshot()
-        assert "itlb.miss_rate" in snap and "itlb.resident" in snap
-
-
-# ======================================================================
-# Unit round-trips: dirty, reset, then behave exactly like a fresh twin
+# Unit round-trips: a twin built after use starts at power-on state
 # ======================================================================
 def _plain(value):
-    """Order-preserving plain-data view of a component's attributes
-    (nested components and slotted records included, callables — the
-    wiring — left out), for exact comparison."""
-    if isinstance(value, SimComponent):
+    """Order-preserving plain-data view of a model's attributes (nested
+    models and slotted records included, callables — the wiring — left
+    out), for exact comparison."""
+    if type(value).__module__.startswith("repro.") and \
+            hasattr(value, "__dict__"):
         value = vars(value)
     if isinstance(value, dict):
         return [(k, _plain(v)) for k, v in value.items() if not callable(v)]
@@ -91,20 +55,23 @@ def _plain(value):
 
 
 def _roundtrip(make, ops, drive, split=None):
-    """Drive ``ops[:split]`` on a component and ``reset()`` it; then
-    drive all of ``ops`` on it and on a fresh twin.  Every result and
-    the final state must agree."""
+    """Drive all of ``ops`` on a reference instance, then ``ops[:split]``
+    on a second one that stays alive; a twin built after that must
+    start at the power-on state and answer every op — and end in the
+    state — the reference did."""
     if split is None:
         split = len(ops) // 2
+    power_on = _plain(make())
+    reference = make()
+    expected = [drive(reference, op) for op in ops]
+    final = _plain(reference)
     used = make()
     for op in ops[:split]:
         drive(used, op)
-    used.reset()
     fresh = make()
-    assert _plain(used) == _plain(fresh)
-    assert [drive(used, op) for op in ops] == \
-        [drive(fresh, op) for op in ops]
-    assert _plain(used) == _plain(fresh)
+    assert _plain(fresh) == power_on
+    assert [drive(fresh, op) for op in ops] == expected
+    assert _plain(fresh) == final
 
 
 @settings(max_examples=30, deadline=None)
@@ -214,27 +181,17 @@ def test_ras_roundtrip(ops):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 200), max_size=80))
 def test_compression_roundtrip(blocks):
-    sinks = {}
-
     def make():
-        buf = CompressionBuffer(capacity=4, span=4)
-        sinks[id(buf)] = []
-        buf.sink = sinks[id(buf)].append
-        return buf
+        sunk = []
+        buf = CompressionBuffer(capacity=4, span=4, sink=sunk.append)
+        return buf, sunk
 
-    split = len(blocks) // 2
-    used = make()
-    for b in blocks[:split]:
-        used.observe(b)
-    used.reset()
-    del sinks[id(used)][:]
-    fresh = make()
-    for b in blocks:
-        used.observe(b)
-        fresh.observe(b)
-    assert _plain(used) == _plain(fresh)
-    # Post-reset evictions must be identical streams.
-    assert sinks[id(used)] == sinks[id(fresh)]
+    def drive(pair, block):
+        buf, sunk = pair
+        buf.observe(block)
+        return [(r.base, r.vector) for r in sunk]
+
+    _roundtrip(make, blocks, drive)
 
 
 @settings(max_examples=20, deadline=None)
@@ -253,24 +210,15 @@ def test_mat_roundtrip(ops):
 
 
 def test_metadata_buffer_roundtrip():
-    def fill(buf):
-        indices = []
-        for bid in range(6):  # wraps the 4-segment buffer
-            seg = buf.allocate(bid, bid * 10, protect=lambda i: False)
-            seg.next_seg = (seg.index + 1) % buf.n_segments
-            seg.n_valid = 1
-            indices.append(seg.index)
-        return indices
+    def drive(buf, bid):
+        seg = buf.allocate(bid, bid * 10, protect=lambda i: False)
+        seg.next_seg = (seg.index + 1) % buf.n_segments
+        seg.n_valid = 1
+        return seg.index
 
-    used = MetadataBuffer(capacity_bytes=4 * 384)
-    fill(used)
-    used.reset()
-    fresh = MetadataBuffer(capacity_bytes=4 * 384)
-    assert _plain(used) == _plain(fresh)
-    assert fill(used) == fill(fresh)
-    assert _plain(used) == _plain(fresh)
-    assert used.allocate(99, 0, protect=lambda i: False).index == \
-        fresh.allocate(99, 0, protect=lambda i: False).index
+    # Six Bundles wrap the 4-segment buffer.
+    _roundtrip(lambda: MetadataBuffer(capacity_bytes=4 * 384),
+               list(range(6)) + [99], drive)
 
 
 # ======================================================================
@@ -281,41 +229,16 @@ def _machine(prefetcher, **kwargs):
     return FrontEndSimulator(config=micro_machine(), prefetcher=pf, **kwargs)
 
 
-def test_registry_composes_whole_machine(micro_trace):
-    sim = _machine("hierarchical")
-    assert sim.components.names() == (
-        "stats", "hierarchy", "frontend", "itlb", "prefetcher"
-    )
-    # Direct attribute references stay identical to registry entries.
-    assert sim.components["hierarchy"] is sim.hierarchy
-    assert sim.components["stats"] is sim.stats
-    sim.run(micro_trace)
-    snap = sim.stats_snapshot()
-    assert snap["hierarchy.l1i.occupancy"] > 0
-    assert snap["frontend.cond_branches"] > 0
-
-
 @pytest.mark.parametrize("prefetcher", ALL_PREFETCHERS)
 def test_every_registry_component_roundtrips(prefetcher, micro_trace):
-    """run -> reset must return every component a machine registers to
-    its power-on state: after the same warmup, each one's
-    ``stats_snapshot`` equals a fresh machine's, and so do the measured
-    SimStats.
-
-    This is the executable form of the snapshot-coverage lint's reset
-    check: any mutable attribute a component forgets to reset shows up
-    here as a divergence from the fresh twin."""
-    sim = _machine(prefetcher)
-    sim.run(micro_trace)  # mutate everything through a real run
-    sim.reset()
-    fresh = _machine(prefetcher)
-    assert sim.components.names() == fresh.components.names()
-    sim.warmup(micro_trace)
-    fresh.warmup(micro_trace)
-    for name in sim.components.names():
-        assert sim.components[name].stats_snapshot() == \
-            fresh.components[name].stats_snapshot(), name
-    assert sim.measure() == fresh.measure()
+    """Machines that run one after another in one process, on one trace
+    object (its branch oracle memoized by the first), measure exactly
+    the same SimStats: nothing a machine learns reaches the next one."""
+    first = _machine(prefetcher).run(micro_trace)
+    second = _machine(prefetcher)
+    warmup_end = second.warmup(micro_trace)
+    assert warmup_end > 0
+    assert second.measure() == first
 
 
 def test_stats_load_is_in_place(micro_trace):
@@ -404,10 +327,12 @@ class TestRunTwice:
         with pytest.raises(RuntimeError, match="already ran"):
             sim.run(trace)
 
-    def test_reset_enables_identical_rerun(self):
+    def test_attach_twice_raises(self):
         trace = looping_trace()
-        sim = _machine("hierarchical")
-        first = sim.run(trace).state_dict()
-        sim.reset()
-        second = sim.run(trace).state_dict()
-        assert first == second
+        pf = make_prefetcher("hierarchical")
+        first = FrontEndSimulator(config=micro_machine(), prefetcher=pf)
+        first.run(trace)
+        second = FrontEndSimulator(config=micro_machine(), prefetcher=pf)
+        with pytest.raises(RuntimeError, match="already attached"):
+            second.run(trace)
+        assert pf.sim is first

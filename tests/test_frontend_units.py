@@ -192,25 +192,6 @@ class TestTage:
                 assert (idx, tg) == tage._index_tag(pc, t)
             tage.predict_and_update(pc, rng.random() < 0.5)
 
-    def test_reset_rebuilds_folds(self):
-        import random
-        rng = random.Random(13)
-        a = TagePredictor()
-        for _ in range(500):
-            a.predict_and_update(rng.randrange(0, 1 << 16) * 4,
-                                 rng.random() < 0.5)
-        a.reset()
-        b = TagePredictor()
-        assert b._f_idx == a._f_idx
-        assert b._f_tag == a._f_tag
-        assert b._f_tag2 == a._f_tag2
-        # And the reset predictor behaves like a fresh one.
-        for _ in range(200):
-            pc = rng.randrange(0, 1 << 16) * 4
-            taken = rng.random() < 0.5
-            assert (a.predict_and_update(pc, taken)
-                    == b.predict_and_update(pc, taken))
-
 
 class TestITTage:
     def test_learns_stable_target(self):

@@ -44,6 +44,7 @@ from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
 from repro.experiments.errors import (
     DiskFullError,
+    InvalidConfigError,
     PointFailure,
     SweepInterrupted,
 )
@@ -635,6 +636,30 @@ class TestDiskGuard:
         assert stats["free_bytes"] is None or stats["free_bytes"] >= 0
         assert stats["min_free_bytes"] == \
             diskcache.DEFAULT_MIN_FREE_BYTES
+
+    @pytest.mark.parametrize("raw", ["-1", "64M", "1e9", "lots"])
+    def test_invalid_floor_is_a_config_error(self, raw, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MIN_FREE", raw)
+        with pytest.raises(InvalidConfigError) as info:
+            diskcache.min_free_bytes()
+        assert "REPRO_CACHE_MIN_FREE" in str(info.value)
+        assert repr(raw) in str(info.value)
+
+    def test_explicit_floor_is_used(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MIN_FREE", " 4096 ")
+        assert diskcache.min_free_bytes() == 4096
+
+    def test_cli_rejects_invalid_floor_before_any_point(
+            self, cache_dir, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_MIN_FREE", "-1")
+        assert main(["cache", "info"]) == 2
+        assert "REPRO_CACHE_MIN_FREE='-1'" in capsys.readouterr().err
+        assert main(["sweep", WORKLOAD, "--prefetchers", "eip",
+                     "--scale", "tiny"]) == 2
+        captured = capsys.readouterr()
+        assert "REPRO_CACHE_MIN_FREE='-1'" in captured.err
+        assert "[1/" not in captured.out  # no point ran
+        assert not list_runs()  # no run journal was opened
 
 
 # ----------------------------------------------------------------------

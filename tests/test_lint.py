@@ -42,209 +42,6 @@ def rules_hit(report):
 
 
 # ======================================================================
-# snapshot-coverage
-# ======================================================================
-class TestSnapshotCoverage:
-    def test_uncovered_mutable_attr_is_flagged(self, tmp_path):
-        # A class that defines a snapshot (the SimStats shape) must
-        # cover every mutable attribute in state_dict/load_state_dict.
-        project(tmp_path, {"src/repro/comp.py": """\
-            from repro.cpu.component import SimComponent
-
-            class Counter(SimComponent):
-                def __init__(self):
-                    self.count = 0
-                def bump(self):
-                    self.count += 1
-                def reset(self):
-                    self.count = 0
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert f.severity == ERROR
-        assert "Counter.count" in f.message
-        assert "state_dict, load_state_dict" in f.message
-        assert "reset" not in f.message.split("covered by")[1]
-
-    def test_missing_reset_coverage_is_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Gauge(SimComponent):
-                def __init__(self):
-                    self.value = 0
-                def poke(self):
-                    self.value += 1
-                def reset(self):
-                    pass
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        message = report.findings[0].message
-        assert "Gauge.value" in message
-        assert message.split("covered by ")[1].startswith("reset;")
-
-    def test_covered_component_is_clean(self, tmp_path):
-        # A component without a snapshot needs only reset coverage; a
-        # SimStats-shaped one needs all three.
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Gauge(SimComponent):
-                def __init__(self):
-                    self.value = 0
-                    self._ticks = 0
-                def poke(self):
-                    self.value += 1
-                    self._ticks += 1
-                def reset(self):
-                    self.value = 0
-                    self._ticks = 0
-
-            class SimStats(SimComponent):
-                _FIELDS = ("value", "_ticks")
-
-                def __init__(self):
-                    self.reset()
-                def poke(self):
-                    self.value += 1
-                    self._ticks += 1
-                def reset(self):
-                    self.value = 0
-                    self._ticks = 0
-                def state_dict(self):
-                    return {f: getattr(self, f) for f in self._FIELDS}
-                def load_state_dict(self, state):
-                    for f in self._FIELDS:
-                        setattr(self, f, state[f])
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_string_field_names_count_as_coverage(self, tmp_path):
-        # A snapshot key "ptr" covers self._ptr.
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Walker(SimComponent):
-                def __init__(self):
-                    self._ptr = 0
-                def advance(self):
-                    self._ptr += 1
-                def reset(self):
-                    self._ptr = 0
-                def state_dict(self):
-                    return {"ptr": self._ptr}
-                def load_state_dict(self, state):
-                    self._ptr = state["ptr"]
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_init_only_attrs_are_configuration(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Sized(SimComponent):
-                def __init__(self, n):
-                    self.capacity = n  # never reassigned: config
-                def reset(self):
-                    pass
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_ephemeral_waiver_suppresses(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Cached(SimComponent):
-                def __init__(self):
-                    self._derived = None  # lint: ephemeral
-                def warm(self):
-                    self._derived = 1
-                def reset(self):
-                    pass
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_mutating_method_calls_count_as_mutation(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Bag(SimComponent):
-                def __init__(self):
-                    self.items = []
-                def put(self, x):
-                    self.items.append(x)
-                def reset(self):
-                    pass
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        assert "Bag.items" in report.findings[0].message
-        assert "covered by reset" in report.findings[0].message
-
-    def test_transitive_helper_coverage(self, tmp_path):
-        # reset() delegating to clear() still covers the attribute.
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Buffer(SimComponent):
-                def __init__(self):
-                    self.entries = []
-                def put(self, x):
-                    self.entries.append(x)
-                def clear(self):
-                    self.entries = []
-                def reset(self):
-                    self.clear()
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_cross_file_inherited_protocol(self, tmp_path):
-        # Child inherits Base's vars(self)-based reset: covered.
-        # Orphan inherits a reset that names only Base's fields: not.
-        files = {
-            "src/repro/base.py": """\
-                class DynamicBase(SimComponent):
-                    def reset(self):
-                        for key in vars(self):
-                            setattr(self, key, 0)
-
-                class NarrowBase(SimComponent):
-                    def __init__(self):
-                        self.x = 0
-                    def tick(self):
-                        self.x += 1
-                    def reset(self):
-                        self.x = 0
-                """,
-            "src/repro/child.py": """\
-                from repro.base import DynamicBase, NarrowBase
-
-                class Child(DynamicBase):
-                    def __init__(self):
-                        self.score = 0
-                    def bump(self):
-                        self.score += 1
-
-                class Orphan(NarrowBase):
-                    def __init__(self):
-                        super().__init__()
-                        self.extra = 0
-                    def bump(self):
-                        self.extra += 1
-                """,
-        }
-        project(tmp_path, files)
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert "Orphan.extra" in f.message
-        assert "covered by reset" in f.message
-        assert f.path == "src/repro/child.py"
-
-    def test_non_components_are_ignored(self, tmp_path):
-        project(tmp_path, {"src/repro/plain.py": """\
-            class Helper:
-                def __init__(self):
-                    self.n = 0
-                def bump(self):
-                    self.n += 1
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-
-# ======================================================================
 # determinism
 # ======================================================================
 class TestDeterminism:
@@ -982,46 +779,37 @@ class TestDepAwareCache:
         """Editing only base.py must re-analyze child.py: the v1 cache
         keyed on child.py's own bytes and served stale cross-file
         findings."""
-        narrow_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def reset(self):
-                    self.x = 0
+        foreign_base = textwrap.dedent("""\
+            class ExperimentError(Exception):
+                pass
+
+
+            class BaseError(Exception):
+                pass
             """)
-        wide_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def reset(self):
-                    for key in vars(self):
-                        setattr(self, key, 0)
-            """)
+        taxonomy_base = foreign_base.replace(
+            "class BaseError(Exception)", "class BaseError(ExperimentError)")
         child = """\
-            from repro.base import NarrowBase
+            from repro.base import BaseError
 
-            class Orphan(NarrowBase):
-                def __init__(self):
-                    super().__init__()
-                    self.extra = 0
-                def bump(self):
-                    self.extra += 1
+
+            def fail():
+                raise BaseError("boom")
             """
-        project(tmp_path, {"src/repro/base.py": narrow_base,
-                           "src/repro/child.py": child})
-        first = run_lint(root=tmp_path)
-        assert any("Orphan.extra" in f.message for f in first.findings)
+        project(tmp_path, {"src/repro/base.py": foreign_base,
+                           "src/repro/child.py": child},
+                pyproject=TAXONOMY_PYPROJECT)
+        first = run_lint(root=tmp_path, rules=["error-taxonomy"])
+        assert any(f.path == "src/repro/child.py" and
+                   "BaseError" in f.message for f in first.findings)
 
-        warm = run_lint(root=tmp_path)
+        warm = run_lint(root=tmp_path, rules=["error-taxonomy"])
         assert warm.cache_hits == warm.files_scanned == 2
 
-        # Widen only the base reset; child.py's bytes are untouched.
-        (tmp_path / "src/repro/base.py").write_text(wide_base)
-        third = run_lint(root=tmp_path)
+        # Move only the base class into the taxonomy; child.py's bytes
+        # are untouched.
+        (tmp_path / "src/repro/base.py").write_text(taxonomy_base)
+        third = run_lint(root=tmp_path, rules=["error-taxonomy"])
         assert third.cache_hits == 0  # dependency fingerprint moved
         assert third.findings == []
 
@@ -1195,7 +983,7 @@ class TestRealTree:
         assert rule_names() == [
             "crash-ordering", "determinism", "error-taxonomy",
             "event-schema",
-            "hot-loop", "pickle-safety", "snapshot-coverage",
+            "hot-loop", "pickle-safety",
         ]
 
     def test_repo_config_matches_defaults(self):

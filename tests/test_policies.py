@@ -1,5 +1,5 @@
-"""Replacement policies: unit behavior, reset round trips, the
-I-TLB prefetch path, and the policy × prefetcher surface (experiments
+"""Replacement policies: unit behavior, fresh-instance round trips,
+the I-TLB prefetch path, and the policy × prefetcher surface (experiments
 family + CLI flags)."""
 
 import pytest
@@ -112,12 +112,6 @@ class TestBIP:
         cache.insert(1)   # the BIP_MRU_PERIOD-th fill: enters at MRU
         assert _order(cache)[-1] == 1
 
-    def test_counter_snapshots(self):
-        policy = BIPPolicy()
-        policy._fills = 7
-        policy.reset()
-        assert policy._fills == 0
-
 
 class TestPrefetchAware:
     def test_prefetch_inserts_distal(self):
@@ -154,26 +148,27 @@ class TestPrefetchAware:
 
 
 # ======================================================================
-# Reset round trips: every policy, through cache and TLB
+# Fresh-instance round trips: every policy, through cache and TLB
 # ======================================================================
 _OPS = [("i", b) for b in range(40)] + \
        [("l", 3), ("i", 41), ("l", 7), ("v", 5)] + \
        [("i", b * 3) for b in range(20)]
 
 
-def _reset_roundtrip(make, ops, drive, view=lambda c: c.stats_snapshot()):
-    """Dirty a component with the first half of ``ops`` and reset it;
-    it must then look like a fresh twin and answer every op exactly
-    like it."""
+def _fresh_roundtrip(make, ops, drive, view):
+    """A twin built while another instance sits dirtied by the first
+    half of ``ops`` must look like one built before it and answer every
+    op exactly like it: policy state never aliases across instances."""
+    power_on = view(make())
+    reference = make()
+    expected = [drive(reference, op) for op in ops]
     used = make()
     for op in ops[:len(ops) // 2]:
         drive(used, op)
-    used.reset()
     fresh = make()
-    assert view(used) == view(fresh)
-    assert [drive(used, op) for op in ops] == \
-        [drive(fresh, op) for op in ops]
-    assert view(used) == view(fresh)
+    assert view(fresh) == power_on
+    assert [drive(fresh, op) for op in ops] == expected
+    assert view(fresh) == view(reference)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -188,8 +183,11 @@ def test_cache_roundtrip_mid_sequence(policy):
             return cache.lookup(block)
         return cache.invalidate(block)
 
-    _reset_roundtrip(lambda: SetAssocCache(4096, 4, name="t", policy=policy),
-                     _OPS, drive)
+    def view(cache):
+        return (cache.resident_blocks(), dict(vars(cache.policy)))
+
+    _fresh_roundtrip(lambda: SetAssocCache(4096, 4, name="t", policy=policy),
+                     _OPS, drive, view)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -202,11 +200,12 @@ def test_tlb_roundtrip_mid_sequence(policy):
 
     def view(tlb):
         return (tlb.accesses, tlb.misses, tlb.pf_probes, tlb.pf_installs,
-                tlb.pf_hits, list(tlb._entries.items()))
+                tlb.pf_hits, list(tlb._entries.items()),
+                dict(vars(tlb.policy)))
 
     # Every prefetch is followed by a demand touch of the same page.
     ops = [(kind, p % 13) for p in range(30) for kind in "pt"]
-    _reset_roundtrip(lambda: InstructionTLB(8, policy=policy), ops, drive,
+    _fresh_roundtrip(lambda: InstructionTLB(8, policy=policy), ops, drive,
                      view)
 
 
