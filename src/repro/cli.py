@@ -200,11 +200,14 @@ def cmd_sweep(args) -> int:
     from repro.experiments.journal import JournalError, run_sweep
     from repro.experiments.service import JsonlEventLog, ServiceConfig
     from repro.experiments.sweep import grid
+    from repro.workloads.cache import trace_cache_max
 
     try:
-        # Every worker's cache writes read this floor; reject a bad
-        # value once, before any point runs.
+        # Every worker's cache writes read this floor, and every trace
+        # memo this bound; reject a bad value once, before any point
+        # runs.
         diskcache.min_free_bytes()
+        trace_cache_max()
     except InvalidConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -698,6 +701,7 @@ def cmd_manifest(args) -> int:
 def cmd_cache(args) -> int:
     from repro.experiments import diskcache
     from repro.experiments.errors import InvalidConfigError
+    from repro.experiments.inputs import INPUTS_DIR
 
     cache = diskcache.get_cache()
     if args.action == "info":
@@ -706,10 +710,12 @@ def cmd_cache(args) -> int:
         except InvalidConfigError as exc:
             print(exc, file=sys.stderr)
             return 2
+        inputs = diskcache.DiskCache(cache.root / INPUTS_DIR)
         print(f"results: {s['entries']} entries, {s['bytes']} bytes, "
-              f"{s['legacy']} legacy flat, {s['quarantined']} "
-              f"quarantined, {s['shard_dirs']} shard dir(s) "
-              f"[{s['root']}]")
+              f"{s['quarantined']} quarantined, {s['shard_dirs']} "
+              f"shard dir(s) [{s['root']}]")
+        print(f"inputs: {len(inputs)} artifact(s), "
+              f"{inputs.size_bytes()} bytes [{inputs.root}]")
         if s["free_bytes"] is not None:
             floor = s["min_free_bytes"]
             print(f"volume: {s['free_bytes'] / 1e6:.0f} MB free "
@@ -859,10 +865,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/SWEEP_CACHE.md)",
     )
     cache.add_argument("action", choices=("info", "compact", "clear"),
-                       help="info: counters | compact: migrate legacy "
-                            "flat entries, drop stale schemas, purge "
-                            "quarantine, GC empty shard dirs | clear: "
-                            "delete everything")
+                       help="info: counters | compact: drop stale "
+                            "schemas, purge quarantine, GC empty shard "
+                            "dirs | clear: delete everything, input "
+                            "artifacts included")
     cache.add_argument("--keep-quarantined", action="store_true",
                        help="compact: keep *.corrupt sidecars instead "
                             "of purging them")

@@ -134,11 +134,6 @@ class CompressionBuffer:
             for region in entries:
                 self.sink(region)
 
-    def clear(self) -> None:
-        """Discard all entries without draining (record aborted)."""
-        self._entries.clear()
-        self._last_hit = None
-
     def snapshot(self) -> List[SpatialRegion]:
         """Copy of the current entries, oldest first (for tests)."""
         return [r.copy() for r in self._entries]

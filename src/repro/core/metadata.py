@@ -149,25 +149,6 @@ class MetadataBuffer:
             return seg
         raise RuntimeError("metadata buffer exhausted: every segment protected")
 
-    def invalidate_chain(self, head_index: int) -> None:
-        """Drop a chain starting at ``head_index`` (owner bookkeeping only).
-
-        Segments stay physically allocated (circular reclaim will reuse
-        them); this only severs the list so stale links are never
-        followed.
-        """
-        index = head_index
-        seen = set()
-        while 0 <= index < self.n_segments and index not in seen:
-            seen.add(index)
-            seg = self._segments[index]
-            if seg is None:
-                break
-            nxt = seg.next_seg
-            seg.next_seg = -1
-            seg.n_valid = 0
-            index = nxt
-
     def chain(self, head_index: int, bundle_id: int) -> List[Segment]:
         """Return the segment chain for ``bundle_id`` starting at
         ``head_index``; stops at ownership mismatches (stale pointers)."""

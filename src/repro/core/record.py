@@ -133,13 +133,6 @@ class RecordEngine:
         self._reuse = []
         return result
 
-    def abort(self) -> None:
-        """Drop the record in progress (e.g. context destroyed)."""
-        self.active = False
-        self._current = None
-        self._chain = []
-        self._reuse = []
-
     # ------------------------------------------------------------------
     def _open_segment(self, num_insts: int) -> None:
         position = len(self._chain)

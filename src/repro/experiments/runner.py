@@ -18,9 +18,11 @@ Caching is two-level:
 The key includes every input that can change the result: workload,
 scale, prefetcher and its kwargs, config overrides, miss tracking,
 warmup fraction, trace seed, and a fingerprint of the default
-:class:`~repro.cpu.config.MachineConfig` plus the payload schema
-version (so cached results are invalidated when the model or the
-serialization format changes).
+:class:`~repro.cpu.config.MachineConfig`, the payload schema version
+and the simulation-path source digest
+(:func:`repro.experiments.inputs.source_digest`), so cached results
+are invalidated when the model, its defaults or the serialization
+format change.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.analysis.metrics import PrefetchReport, compare_run
 from repro.cpu import MachineConfig
 from repro.cpu.config import DEFAULT_WARMUP
 from repro.cpu.stats import SimStats
-from repro.experiments import diskcache
+from repro.experiments import diskcache, inputs
 from repro.prefetchers import make_prefetcher
 from repro.workloads.cache import get_trace
 
@@ -44,7 +46,8 @@ __all__ = [
     "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "cache_key",
     "run_prefetcher", "run_baseline", "compare_all",
     "perfect_l1i_speedup", "run_cache_stats", "reset_run_cache_stats",
-    "record_source", "seed_cache", "peek_cached", "clear_run_cache",
+    "record_source", "cache_integrity", "record_integrity",
+    "seed_cache", "peek_cached", "clear_run_cache",
 ]
 
 #: Subset used by parameter sweeps where running all 11 workloads per
@@ -62,11 +65,13 @@ _FINGERPRINT: Optional[str] = None
 
 
 def _config_fingerprint() -> str:
-    """Digest of the default machine configuration + cache schema.
+    """Digest of the default machine configuration, the cache schema
+    and the simulation-path source.
 
-    Baked into every cache key: when Table-1 defaults or the payload
-    layout change between revisions, old on-disk entries silently stop
-    matching instead of serving stale timing results.
+    Baked into every cache key: when Table-1 defaults, the payload
+    layout or any model source change between revisions, old on-disk
+    entries silently stop matching instead of serving stale timing
+    results.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
@@ -79,7 +84,8 @@ def _config_fingerprint() -> str:
             return obj
         blob = json.dumps(
             {"config": unwrap(MachineConfig()),
-             "schema": diskcache.SCHEMA_VERSION},
+             "schema": diskcache.SCHEMA_VERSION,
+             "source": inputs.source_digest()},
             sort_keys=True, default=str,
         )
         _FINGERPRINT = hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -174,6 +180,19 @@ def record_source(source: str) -> None:
         _STATS.disk_hits += 1
     else:
         _STATS.memory_hits += 1
+
+
+def cache_integrity() -> Tuple[int, int]:
+    """``(cache_corrupt, write_refusals)`` counted so far in this
+    process; a sweep worker reports the change across its attempt."""
+    return _STATS.cache_corrupt, _STATS.write_refusals
+
+
+def record_integrity(corrupt: int, refused: int) -> None:
+    """Add a sweep worker's quarantines and refused writes to this
+    process's counters."""
+    _STATS.cache_corrupt += corrupt
+    _STATS.write_refusals += refused
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +376,8 @@ def perfect_l1i_speedup(workload: str, scale: str = "bench") -> float:
 
 def clear_run_cache(disk: bool = False) -> None:
     """Drop all cached simulation results (in-process; plus the on-disk
-    result store when ``disk=True``).
+    result store and the sweep input artifacts under
+    ``<cache root>/inputs`` when ``disk=True``).
 
     ``disk=True`` also removes ``<cache root>/warmup/``, the
     post-warmup checkpoint store older revisions wrote and nothing
@@ -367,4 +387,5 @@ def clear_run_cache(disk: bool = False) -> None:
     if disk and diskcache.disk_cache_enabled():
         cache = diskcache.get_cache()
         cache.clear()
-        shutil.rmtree(cache.root / "warmup", ignore_errors=True)
+        for stale in (inputs.INPUTS_DIR, "warmup"):
+            shutil.rmtree(cache.root / stale, ignore_errors=True)

@@ -13,6 +13,8 @@ one poll loop (``_supervise``) over the rest::
            jobs == 1:  each attempt runs in-process   (sweep._execute)
            jobs >= 2:  one forked worker per attempt, (sweep._spawn /
                        up to ``jobs`` at a time        sweep._reap)
+                       after one prepare worker per    (sweep.
+                       missing input artifact           _prepare_process)
 
 The only width is :attr:`ServiceConfig.jobs`.  The in-process path is
 the reference the forked path is checked against: results are
@@ -25,8 +27,9 @@ decision in ``_supervise`` (deterministic backoff, ``max_retries``,
 ``keep_going`` vs fail-fast).
 
 Progress events: every scheduling decision is emitted as one JSON
-object (``begin``, ``scheduled``, ``completed``, ``retried``,
-``failed``, ``poisoned``, ``end``) with a monotonic ``seq``;
+object (``begin``, ``prepared``, ``scheduled``, ``completed``,
+``retried``, ``failed``, ``poisoned``, ``end``) with a monotonic
+``seq``;
 :data:`EVENT_SCHEMA` is the declarative layout.  :class:`JsonlEventLog`
 appends them to a file as JSON Lines; :func:`read_events` /
 :func:`summarize_events` consume the stream and check that every point
@@ -80,6 +83,7 @@ from repro.experiments.errors import (
     backoff_delay,
 )
 from repro.experiments.faults import FaultPlan
+from repro.experiments.inputs import InputStore, TraceInputs
 from repro.experiments.sweep import (
     DEFAULT_BACKOFF,
     DEFAULT_MAX_RETRIES,
@@ -106,10 +110,11 @@ __all__ = [
 #: v3 drops the sharded scheduler's kinds (``heartbeat``, ``requeued``,
 #: ``pool_restarted``, ``pool_retired``) and the ``shard``/``shards``/
 #: ``inline`` payload keys; readers tally those v2 kinds under
-#: ``unknown``.
-EVENT_SCHEMA_VERSION = 3
+#: ``unknown``.  v4 adds ``prepared``: one per input artifact of a
+#: forked sweep, with ``source`` one of ``built``/``disk``/``failed``.
+EVENT_SCHEMA_VERSION = 4
 
-#: Declarative v3 event schema: kind -> required / optional payload
+#: Declarative v4 event schema: kind -> required / optional payload
 #: keys.  The :class:`_Emitter` envelope (``v``, ``seq``, ``event``)
 #: is implicit and not listed.  This table is the single source of
 #: truth the ``event-schema`` lint rule checks every ``emit(...)``
@@ -120,6 +125,9 @@ EVENT_SCHEMA = {
         "required": ("total", "cached", "preresolved", "poisoned",
                      "jobs"),
         "optional": ("run_id", "segment"),
+    },
+    "prepared": {
+        "required": ("label", "seconds", "source"),
     },
     "scheduled": {
         "required": ("index", "label", "attempt"),
@@ -348,7 +356,10 @@ def summarize_events(events: Sequence[dict]) -> dict:
     for a stream still missing its trailer).  ``unknown`` tallies
     event kinds outside :data:`EVENT_SCHEMA` (a newer writer's
     stream, or a v2 journal's ``heartbeat``/``requeued``/``pool_*``
-    records): counted for visibility, never fatal.
+    records): counted for visibility, never fatal.  ``inputs`` tallies
+    ``prepared`` events — input artifacts by source plus the seconds
+    spent building them — beside ``point_seconds``, the summed
+    ``seconds`` of the completed points.
     """
     total = None
     completed: Dict[int, dict] = {}
@@ -363,12 +374,19 @@ def summarize_events(events: Sequence[dict]) -> dict:
     elapsed = None
     status = None
     unknown: Dict[str, int] = {}
+    inputs: Dict[str, int] = {}
+    build_seconds = 0.0
     for event in events:
         kind = event.get("event")
         if kind == "begin":
             segments += 1
             if event.get("total") is not None:
                 total = event.get("total")
+        elif kind == "prepared":
+            source = str(event.get("source"))
+            inputs[source] = inputs.get(source, 0) + 1
+            if source != "disk":
+                build_seconds += event.get("seconds") or 0.0
         elif kind == "scheduled":
             scheduled += 1
         elif kind == "completed":
@@ -414,6 +432,10 @@ def summarize_events(events: Sequence[dict]) -> dict:
         "status": status,
         "sources": sources,
         "unknown": unknown,
+        "inputs": inputs,
+        "build_seconds": round(build_seconds, 4),
+        "point_seconds": round(sum(
+            e.get("seconds") or 0.0 for e in completed.values()), 4),
         "failures": [
             {"index": i, "label": f.get("label"),
              "kind": f.get("kind"), "message": f.get("message")}
@@ -436,6 +458,13 @@ def format_events_summary(summary: dict) -> str:
         + (f"  ({', '.join(f'{v} {k}' for k, v in sorted(summary['retry_kinds'].items()))})"
            if summary["retry_kinds"] else ""),
     ]
+    if summary.get("inputs"):
+        counts = summary["inputs"]
+        lines.append(
+            f"inputs:    {sum(counts.values())} artifact(s) ("
+            + ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+            + f"), {summary['build_seconds']:.1f}s building; points "
+              f"{summary['point_seconds']:.1f}s")
     if summary.get("status") is not None:
         lines.insert(0, f"status:    {summary['status']}")
     if summary.get("segments", 0) > 1:
@@ -553,18 +582,62 @@ def _supervise(state: _SweepState, pending: Sequence[int],
     re-enters with its backoff deadline.  With ``jobs == 1`` each
     attempt runs in-process when dispatched; with ``jobs >= 2`` up to
     ``jobs`` forked workers run at once and the loop blocks on their
-    pipes and sentinels between polls.  Returns early once ``shutdown`` is
-    requested; live workers are reaped on every exit path, including a
-    fail-fast :class:`PointFailure`.
+    pipes and sentinels between polls.
+
+    With ``jobs >= 2`` the points wait on their trace's input artifact
+    (:mod:`repro.experiments.inputs`): each missing one gets a single
+    prepare attempt, a forked worker under the same width and
+    ``point_timeout``, dispatched ahead of any point.  A point becomes
+    dispatchable once its artifact is resolved — on disk, built, or
+    failed (its points then build in place).  Prepare attempts emit one
+    ``prepared`` event each and are not points: they never retry, never
+    fail the sweep and are not in the report.
+
+    Returns early once ``shutdown`` is requested; live workers are
+    reaped on every exit path, including a fail-fast
+    :class:`PointFailure`.
     """
     in_process = config.jobs == 1
     ctx = None if in_process else multiprocessing.get_context()
     plan_json = plan.to_json() if (plan and not in_process) else None
-    # ``pending`` is ascending, so this list is already a heap.
+    store = None
+    if not in_process:
+        try:
+            store = InputStore.for_sweep(config.use_cache)
+        except OSError:
+            pass  # nowhere to put artifacts: every point builds in place
+    # Points waiting on their artifact, and the artifacts to build, in
+    # the order of their first point.
+    blocked: Dict[TraceInputs, List[int]] = {}
+    to_prepare: List[TraceInputs] = []
+    ready: List[int] = []
+    for index in pending:
+        inputs = (TraceInputs.of(state.points[index])
+                  if store is not None else None)
+        if inputs is None:
+            ready.append(index)
+        else:
+            blocked.setdefault(inputs, []).append(index)
+    for inputs in list(blocked):
+        if store.has(inputs):
+            emit("prepared", label=inputs.label, seconds=0.0,
+                 source="disk")
+            ready += blocked.pop(inputs)
+        else:
+            to_prepare.append(inputs)
+    # A sorted list is already a heap.
     waiting: List[Tuple[float, int, int]] = [
-        (0.0, index, 1) for index in pending]
+        (0.0, index, 1) for index in sorted(ready)]
     live: List[sweep_mod._Live] = []
     resolved = 0
+
+    def release(worker: sweep_mod._Live, outcome: tuple) -> None:
+        inputs = worker.inputs
+        emit("prepared", label=inputs.label,
+             seconds=round(time.monotonic() - worker.started, 4),
+             source="built" if outcome[0] == "ok" else "failed")
+        for index in blocked.pop(inputs):
+            heapq.heappush(waiting, (0.0, index, 1))
 
     def resolve(index: int, attempt: int, outcome: tuple) -> None:
         nonlocal resolved
@@ -611,9 +684,15 @@ def _supervise(state: _SweepState, pending: Sequence[int],
             state.fail(failure)
 
     try:
-        while waiting or live:
+        while waiting or live or to_prepare:
             if shutdown is not None and shutdown.requested():
                 return
+            if to_prepare and len(live) < config.jobs:
+                inputs = to_prepare.pop(0)
+                live.append(sweep_mod._spawn(
+                    ctx, sweep_mod._prepare_process, (inputs, store),
+                    inputs=inputs))
+                continue
             if waiting and len(live) < config.jobs \
                     and waiting[0][0] <= time.monotonic():
                 _, index, attempt = heapq.heappop(waiting)
@@ -625,16 +704,24 @@ def _supervise(state: _SweepState, pending: Sequence[int],
                         point, index, attempt, config.use_cache, plan,
                         timeout=config.point_timeout, worker=False))
                 else:
+                    if store is not None:
+                        store.preload()
                     live.append(sweep_mod._spawn(
-                        ctx, point, index, attempt, config.use_cache,
-                        plan_json))
+                        ctx, sweep_mod._point_process,
+                        (index, attempt, point, config.use_cache,
+                         plan_json, store),
+                        index=index, attempt=attempt))
                 continue
             progressed = False
             for worker in list(live):
                 outcome = sweep_mod._reap(worker, config.point_timeout)
-                if outcome is not None:
-                    live.remove(worker)
-                    progressed = True
+                if outcome is None:
+                    continue
+                live.remove(worker)
+                progressed = True
+                if worker.inputs is not None:
+                    release(worker, outcome)
+                else:
                     resolve(worker.index, worker.attempt, outcome)
             if progressed:
                 continue
@@ -647,6 +734,8 @@ def _supervise(state: _SweepState, pending: Sequence[int],
     finally:
         for worker in live:
             sweep_mod._stop(worker)
+        if store is not None:
+            store.close()
 
 
 def _route_signals(shutdown: ShutdownRequest) -> Dict[int, object]:

@@ -13,7 +13,9 @@ module holds what that loop schedules:
 * :func:`_execute` — one *attempt* of one point, returning an outcome
   tuple; with ``jobs == 1`` the loop calls it in-process, with
   ``jobs >= 2`` it runs in a forked worker (:func:`_spawn` /
-  :func:`_reap`) that the loop supervises;
+  :func:`_reap`) that the loop supervises, after loading the point's
+  trace and branch oracle from the input artifact a *prepare* worker
+  (:func:`_prepare_process`) built (:mod:`repro.experiments.inputs`);
 * :func:`_outcome_error` — the single mapping from a non-``ok``
   outcome to its :mod:`~repro.experiments.errors` taxonomy error.
 
@@ -62,6 +64,7 @@ from repro.experiments.errors import (
     WorkerCrashError,
 )
 from repro.experiments.faults import FaultPlan
+from repro.experiments.inputs import InputStore, TraceInputs
 from repro.experiments.runner import DEFAULT_WARMUP
 
 #: The paper's comparison set (Figures 9-11, Table 2).
@@ -211,8 +214,14 @@ Outcome = Tuple
 
 def _execute(point: SweepPoint, index: int, attempt: int,
              use_cache: bool, plan: Optional[FaultPlan],
-             timeout: Optional[float], worker: bool) -> Outcome:
+             timeout: Optional[float], worker: bool,
+             inputs: Optional[InputStore] = None) -> Outcome:
     """Run one attempt of one point and return its outcome tuple.
+
+    With an ``inputs`` store the point first loads its trace and
+    branch oracle from there (the time counts as point time); without
+    one, or when the artifact is missing or corrupt, ``run_prefetcher``
+    builds them in place.
 
     In a ``worker`` process an injected crash exits hard and an
     injected hang sleeps, leaving detection to the supervising parent.
@@ -235,12 +244,16 @@ def _execute(point: SweepPoint, index: int, attempt: int,
             return ("transient",
                     f"injected transient fault at {point.label}")
     try:
+        start = time.perf_counter()
+        if inputs is not None:
+            inputs.install(point)
+        loaded = time.perf_counter() - start
         stats, miss_map, source, elapsed = _run_serial(point, use_cache)
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}")
     if plan and use_cache:
         plan.corrupt_cache_entries(index, point.label, attempt, point.key())
-    return ("ok", stats, miss_map, source, elapsed)
+    return ("ok", stats, miss_map, source, loaded + elapsed)
 
 
 def _outcome_error(outcome: Outcome, label: str) -> ExperimentError:
@@ -265,54 +278,85 @@ def _outcome_error(outcome: Outcome, label: str) -> ExperimentError:
 # ----------------------------------------------------------------------
 # Forked workers (jobs >= 2)
 # ----------------------------------------------------------------------
-def _point_process(conn, index: int, attempt: int, point: SweepPoint,
-                   use_cache: bool, plan_json: Optional[str]) -> None:
-    """Entry point of a per-attempt worker process: sends exactly one
-    outcome tuple back through ``conn`` (stats as a state dict), unless
-    an injected crash exits first."""
-    # The parent owns interruption: it drains on SIGINT and terminates
-    # workers with SIGTERM, which must kill even when the parent's
-    # Python-level handlers were inherited through fork.
+def _worker_signals() -> None:
+    """The parent owns interruption: it drains on SIGINT and terminates
+    workers with SIGTERM, which must kill even when the parent's
+    Python-level handlers were inherited through fork."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _point_process(conn, index: int, attempt: int, point: SweepPoint,
+                   use_cache: bool, plan_json: Optional[str],
+                   inputs: Optional[InputStore]) -> None:
+    """Entry point of a per-attempt worker process: sends exactly one
+    ``(outcome, corrupt, refused)`` message back through ``conn``
+    (stats as a state dict; the cache-integrity counts this attempt
+    added), unless an injected crash exits first."""
+    _worker_signals()
     plan = FaultPlan.from_json(plan_json) if plan_json else None
+    before = runner.cache_integrity()
     outcome = _execute(point, index, attempt, use_cache, plan,
-                       timeout=None, worker=True)
+                       timeout=None, worker=True, inputs=inputs)
     if outcome[0] == "ok":
         outcome = ("ok", outcome[1].state_dict()) + outcome[2:]
-    conn.send(outcome)
+    _reply(conn, outcome, before)
+
+
+def _prepare_process(conn, inputs: TraceInputs, store: InputStore) -> None:
+    """Entry point of a prepare worker: builds and persists one input
+    artifact, then sends ``(outcome, corrupt, refused)`` like a point
+    worker, with outcome ``("ok",)`` or ``("error", message)``."""
+    _worker_signals()
+    before = runner.cache_integrity()
+    try:
+        outcome = (("ok",) if store.build(inputs)
+                   else ("error", "artifact write failed or refused"))
+    except Exception as exc:
+        outcome = ("error", f"{type(exc).__name__}: {exc}")
+    _reply(conn, outcome, before)
+
+
+def _reply(conn, outcome: Outcome, before: Tuple[int, int]) -> None:
+    """Send a worker's one message: its outcome plus the quarantines
+    and refused writes it added since ``before``."""
+    corrupt, refused = runner.cache_integrity()
+    conn.send((outcome, corrupt - before[0], refused - before[1]))
     conn.close()
 
 
 @dataclasses.dataclass
 class _Live:
-    """A worker currently executing one attempt of one point."""
+    """A worker currently executing one attempt of one point, or one
+    prepare attempt (``inputs`` set, ``index`` -1)."""
 
     proc: object
     conn: object
     index: int
     attempt: int
     started: float
+    inputs: Optional[TraceInputs] = None
 
 
-def _spawn(ctx, point: SweepPoint, index: int, attempt: int,
-           use_cache: bool, plan_json: Optional[str]) -> _Live:
+def _spawn(ctx, target: Callable, args: tuple, index: int = -1,
+           attempt: int = 1,
+           inputs: Optional[TraceInputs] = None) -> _Live:
+    """Fork a worker running ``target(conn, *args)``."""
     recv_conn, send_conn = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_point_process,
-        args=(send_conn, index, attempt, point, use_cache, plan_json),
-        daemon=True,
-    )
+    proc = ctx.Process(target=target, args=(send_conn,) + tuple(args),
+                       daemon=True)
     proc.start()
     send_conn.close()
-    return _Live(proc, recv_conn, index, attempt, time.monotonic())
+    return _Live(proc, recv_conn, index, attempt, time.monotonic(),
+                 inputs)
 
 
 def _reap(live: _Live,
           point_timeout: Optional[float]) -> Optional[Outcome]:
     """Poll one worker; returns its outcome tuple, or None while it
     runs.  Parent-detected outcomes are ``("crash", exitcode)`` and
-    ``("timeout", point_timeout)``."""
+    ``("timeout", point_timeout)``; the worker's cache-integrity counts
+    are added to this process's."""
     # Liveness *before* the pipe check closes the exit race: once the
     # process is observably dead, anything it sent is already buffered.
     alive = live.proc.is_alive()
@@ -325,9 +369,11 @@ def _reap(live: _Live,
         live.conn.close()
         if message is None:
             return ("crash", live.proc.exitcode)
-        if message[0] == "ok":
-            message = ("ok", SimStats.from_state(message[1])) + message[2:]
-        return message
+        outcome, corrupt, refused = message
+        runner.record_integrity(corrupt, refused)
+        if outcome[0] == "ok" and live.inputs is None:
+            outcome = ("ok", SimStats.from_state(outcome[1])) + outcome[2:]
+        return outcome
     if not alive:
         live.proc.join()
         live.conn.close()

@@ -126,10 +126,16 @@ class BranchOracle:
                 for name, members in _COUNTER_CODES}
 
 
+def oracle_geometry(params: FrontEndParams) -> tuple:
+    """The predictor geometry a :class:`BranchOracle` depends on (its
+    key in ``Trace.branch_oracles``)."""
+    return (params.btb_entries, params.btb_assoc, params.ras_depth)
+
+
 def branch_oracle(trace, params: FrontEndParams) -> BranchOracle:
     """The oracle of ``trace`` under ``params``' predictor geometry,
     built on first use and memoized on the trace."""
-    key = (params.btb_entries, params.btb_assoc, params.ras_depth)
+    key = oracle_geometry(params)
     oracle = trace.branch_oracles.get(key)
     if oracle is None:
         oracle = BranchOracle(_predict_trace(trace, *key))

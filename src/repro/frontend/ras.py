@@ -60,9 +60,5 @@ class ReturnAddressStack:
     def __len__(self) -> int:
         return self._count
 
-    def clear(self) -> None:
-        self._top = -1
-        self._count = 0
-
     def __repr__(self) -> str:
         return f"ReturnAddressStack(depth={self.depth}, live={self._count})"

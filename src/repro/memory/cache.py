@@ -108,10 +108,6 @@ class SetAssocCache:
     def capacity_blocks(self) -> int:
         return self.n_sets * self.assoc
 
-    def clear(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-
     def resident_blocks(self) -> List[int]:
         """All resident block indices (test/analysis helper)."""
         out: List[int] = []

@@ -19,20 +19,37 @@ from repro.workloads.trace import Trace
 _APPS: Dict[str, Application] = {}
 _TRACES: OrderedDict = OrderedDict()
 
+_ENV_TRACE_CACHE = "REPRO_TRACE_CACHE"
+#: Traces kept in memory when ``REPRO_TRACE_CACHE`` is unset.
+DEFAULT_TRACE_CACHE = 6
 
-def _trace_cache_max() -> int:
+
+def trace_cache_max() -> int:
     """LRU bound for memoized traces.
 
     The default of 6 suits single-figure runs; full-grid sweeps touch
     all 11 workloads round-robin and would evict every entry before its
-    reuse, so the bound is overridable via ``REPRO_TRACE_CACHE``.
+    reuse, so the bound is overridable via ``REPRO_TRACE_CACHE``.  A
+    value that is not a positive integer is an
+    :class:`~repro.experiments.errors.InvalidConfigError`.
     """
+    # Capacity only: eviction changes memory use, never the trace
+    # contents, so this env read cannot perturb simulated results.
+    raw = os.environ.get(_ENV_TRACE_CACHE, "").strip()  # lint: allow[determinism]
+    if not raw:
+        return DEFAULT_TRACE_CACHE
     try:
-        # Capacity only: eviction changes memory use, never the trace
-        # contents, so this env read cannot perturb simulated results.
-        return max(1, int(os.environ.get("REPRO_TRACE_CACHE", "6")))  # lint: allow[determinism]
+        value = int(raw)
     except ValueError:
-        return 6
+        value = 0
+    if value < 1:
+        # Imported here: repro.experiments imports this module.
+        from repro.experiments.errors import InvalidConfigError
+
+        raise InvalidConfigError(
+            f"{_ENV_TRACE_CACHE}={raw!r} is not a positive integer "
+            "(the number of traces kept in memory)")
+    return value
 
 
 def get_application(name: str) -> Application:
@@ -53,10 +70,19 @@ def get_trace(name: str, scale: str = "bench", seed: int = 1) -> Trace:
         return trace
     app = get_application(name)
     trace = app.trace(requests_for(name, scale), seed=seed)
-    _TRACES[key] = trace
-    while len(_TRACES) > _trace_cache_max():
-        _TRACES.popitem(last=False)
+    install_trace(name, scale, seed, trace)
     return trace
+
+
+def install_trace(name: str, scale: str, seed: int, trace: Trace) -> None:
+    """Memoize ``trace`` as the trace of (workload, scale, seed),
+    replacing any memoized one (a sweep worker installs a loaded input
+    artifact this way; see :mod:`repro.experiments.inputs`)."""
+    key = (name, scale, seed)
+    _TRACES[key] = trace
+    _TRACES.move_to_end(key)
+    while len(_TRACES) > trace_cache_max():
+        _TRACES.popitem(last=False)
 
 
 def clear_caches() -> None:

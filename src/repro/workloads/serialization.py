@@ -11,8 +11,8 @@ simulation results in the tests).
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Union
+import os
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -23,10 +23,12 @@ from repro.workloads.trace import Trace
 #: ``slo_instr``); v1 files still load (they predate arrivals).
 FORMAT_VERSION = 2
 
+#: A file name, or a binary file object (an in-memory buffer, say).
+Target = Union[str, os.PathLike, BinaryIO]
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
+
+def save_trace(trace: Trace, path: Target) -> None:
     """Write ``trace`` to ``path`` (``.npz``, compressed)."""
-    path = Path(path)
     meta = {
         "version": FORMAT_VERSION,
         "n_instructions": trace.n_instructions,
@@ -56,9 +58,8 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     np.savez_compressed(path, **arrays)
 
 
-def load_trace(path: Union[str, Path]) -> Trace:
+def load_trace(path: Target) -> Trace:
     """Read a trace previously written by :func:`save_trace`."""
-    path = Path(path)
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         version = meta.get("version")

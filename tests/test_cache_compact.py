@@ -1,16 +1,15 @@
-"""Sharded disk-cache layout: legacy migration + compaction.
+"""Sharded disk-cache layout: compaction and the one read layout.
 
-PR-3 introduced the flat ``<root>/<digest>.pkl`` store; the sharded
-layout (``<root>/<digest[:2]>/<digest>.pkl``) must keep serving those
-legacy entries — transparently migrating them on read — and
-``DiskCache.compact()`` must migrate the stragglers in bulk, drop
-stale-schema payloads, purge quarantine sidecars, and sweep empty
+The store reads only ``<root>/<digest[:2]>/<digest>.pkl`` checksum
+envelopes.  Files an older layout left flat under the root are never
+read (no key can match them since keys carry the source digest) but
+``clear`` still removes them.  ``DiskCache.compact()`` drops
+stale-schema payloads, purges quarantine sidecars and sweeps empty
 shard directories, all without ever touching the ``runs`` journal
-root.
+root or the ``inputs`` artifact store.
 """
 
 import os
-import pickle
 
 import pytest
 
@@ -28,85 +27,42 @@ def _payload(key, marker=1):
             "stats": {"instructions": marker}, "miss_map": None}
 
 
-def _make_legacy(cache, key, payload=None):
-    """Plant ``key`` at the pre-sharding flat location."""
+def _make_flat(cache, key, payload=None):
+    """Plant ``key`` where the pre-sharding layout kept it: flat under
+    the root."""
     cache.put(key, payload or _payload(key))
     sharded = cache.path_for(key)
-    legacy = cache.legacy_path_for(key)
-    os.replace(sharded, legacy)
+    flat = cache.root / sharded.name
+    os.replace(sharded, flat)
     sharded.parent.rmdir()
-    return legacy
+    return flat
 
 
 class TestLegacyMigration:
-    def test_flat_entry_served_and_migrated_on_read(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        legacy = _make_legacy(cache, "k1")
-        assert cache.get("k1") == _payload("k1")
-        # the read moved the file into its shard directory
-        assert not legacy.exists()
-        assert cache.path_for("k1").exists()
-        # and the next read is direct
-        assert cache.get("k1") == _payload("k1")
-
-    def test_corrupt_flat_entry_quarantined_into_shard_dir(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        legacy = _make_legacy(cache, "k1")
-        corrupt_file(legacy, TRUNCATE)
-        assert cache.get("k1") is None
-        assert not legacy.exists()
-        (sidecar,) = cache.quarantined()
-        # sidecar surfaces beside the *sharded* path, not at the root
-        assert sidecar.parent == cache.path_for("k1").parent
-        assert cache.corrupt_count == 1
+    """Older layouts are no longer migrated: they are never read."""
 
     def test_sharded_entry_wins_over_stale_flat(self, tmp_path):
         cache = DiskCache(tmp_path)
-        _make_legacy(cache, "k1", _payload("k1", marker=1))
+        _make_flat(cache, "k1", _payload("k1", marker=1))
         cache.put("k1", _payload("k1", marker=2))
         assert cache.get("k1")["stats"]["instructions"] == 2
 
-    def test_legacy_entries_listing(self, tmp_path):
+    def test_flat_entry_is_a_miss_and_clear_removes_it(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put("sharded", _payload("sharded"))
-        _make_legacy(cache, "flat")
-        legacy = list(cache.legacy_entries())
-        assert legacy == [cache.legacy_path_for("flat")]
-        # entries() sees both
-        assert len(list(cache.entries())) == 2
-
-    def test_runner_resolves_legacy_entry_from_disk(self, tmp_path):
-        previous = diskcache.set_cache_dir(tmp_path)
-        try:
-            runner.clear_run_cache()
-            from repro.cpu.stats import SimStats
-
-            stats = SimStats()
-            stats.instructions = 41
-            runner._disk_store("point-key", stats, None)
-            cache = diskcache.get_cache()
-            _make_legacy(cache, "point-key",
-                         cache.get("point-key"))
-            runner.clear_run_cache()  # force the disk path
-            hit = runner.peek_cached("point-key")
-            assert hit is not None
-            stats_out, _miss, source = hit
-            assert source == "disk"
-            assert stats_out.instructions == 41
-        finally:
-            runner.clear_run_cache()
-            diskcache.set_cache_dir(previous)
+        flat = _make_flat(cache, "k1")
+        assert cache.get("k1") is None
+        assert flat.exists()  # never migrated, never quarantined
+        assert list(cache.entries()) == []
+        cache.clear()
+        assert not flat.exists()
 
 
 class TestCompact:
     def test_full_pass(self, tmp_path):
         cache = DiskCache(tmp_path)
-        # one healthy sharded entry
+        # two healthy entries
         cache.put("keep", _payload("keep"))
-        # two legacy flats: one valid (migrates), one corrupt
-        _make_legacy(cache, "flat-ok")
-        bad = _make_legacy(cache, "flat-bad")
-        corrupt_file(bad, TRUNCATE)
+        cache.put("keep-too", _payload("keep-too"))
         # one stale-schema sharded entry
         cache.put("stale", {"schema": SCHEMA_VERSION - 1, "key": "stale",
                             "stats": {}, "miss_map": None})
@@ -115,20 +71,22 @@ class TestCompact:
         corrupt_file(cache.path_for("torn"), TRUNCATE)
         assert cache.get("torn") is None  # quarantines it
 
+        # one entry torn after its last read
+        cache.put("torn-later", _payload("torn-later"))
+        corrupt_file(cache.path_for("torn-later"), TRUNCATE)
+
         report = cache.compact()
-        assert report.migrated == 1
-        assert report.quarantined == 1  # the corrupt flat
+        assert report.quarantined == 1  # torn-later
         assert report.stale_dropped == 1
-        # flat-bad's sidecar + torn's sidecar
+        # torn's sidecar + torn-later's sidecar
         assert report.purged_sidecars == 2
         # stale/torn shard dirs emptied and removed
         assert report.empty_dirs_removed >= 1
-        assert report.entries == 2  # keep + flat-ok
+        assert report.entries == 2  # keep + keep-too
         assert sorted(p.name for p in cache.entries()) == sorted(
-            f"{key_digest(k)}.pkl" for k in ("keep", "flat-ok"))
-        assert list(cache.legacy_entries()) == []
+            f"{key_digest(k)}.pkl" for k in ("keep", "keep-too"))
         assert list(cache.quarantined()) == []
-        assert "migrated 1 legacy" in report.describe()
+        assert "quarantined 1" in report.describe()
 
     def test_keep_quarantined(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -140,9 +98,10 @@ class TestCompact:
         assert len(list(cache.quarantined())) == 1
 
     def test_warmup_store_never_touched(self, tmp_path):
-        # The run journals under runs/ are not shard directories, so
-        # compaction must never touch them — not even an empty
-        # two-hex-char directory inside, which looks prunable.
+        # The run journals under runs/ and the input artifacts under
+        # inputs/ are not shard directories, so compaction must never
+        # touch them — not even an empty two-hex-char directory
+        # inside, which looks prunable.
         previous = diskcache.set_cache_dir(tmp_path)
         try:
             cache = diskcache.get_cache()
@@ -151,19 +110,21 @@ class TestCompact:
             segment = run_dir / "events-0001.jsonl"
             segment.write_text('{"event": "begin", "seq": 1}\n')
             (tmp_path / "runs" / "ab").mkdir()
+            inputs = DiskCache(tmp_path / "inputs")
+            inputs.put("artifact", _payload("artifact"))
             cache.put("result", _payload("result"))
             report = cache.compact()
             assert report.entries == 1
             assert segment.read_text() == '{"event": "begin", "seq": 1}\n'
             assert (tmp_path / "runs" / "ab").is_dir()
+            assert inputs.get("artifact") == _payload("artifact")
         finally:
             diskcache.set_cache_dir(previous)
 
     def test_compact_on_missing_root_is_a_noop(self, tmp_path):
         cache = DiskCache(tmp_path / "never-created")
         report = cache.compact()
-        assert (report.migrated, report.quarantined, report.entries) == \
-            (0, 0, 0)
+        assert (report.quarantined, report.entries) == (0, 0)
 
 
 class TestStats:
@@ -171,13 +132,13 @@ class TestStats:
         cache = DiskCache(tmp_path)
         cache.put("a", _payload("a"))
         cache.put("b", _payload("b"))
-        _make_legacy(cache, "c")
+        _make_flat(cache, "c")
         cache.put("torn", _payload("torn"))
         corrupt_file(cache.path_for("torn"), TRUNCATE)
         assert cache.get("torn") is None
         stats = cache.stats()
-        assert stats["entries"] == 3  # a, b, legacy c
-        assert stats["legacy"] == 1
+        assert stats["entries"] == 2  # a, b; the flat c is not read
+        assert "legacy" not in stats
         assert stats["quarantined"] == 1
         assert stats["shard_dirs"] >= 1
         assert stats["bytes"] > 0
@@ -189,24 +150,28 @@ class TestStats:
         previous = diskcache.set_cache_dir(tmp_path)
         try:
             cache = diskcache.get_cache()
-            _make_legacy(cache, "flat")
+            flat = _make_flat(cache, "flat")
             cache.put("torn", _payload("torn"))
             corrupt_file(cache.path_for("torn"), TRUNCATE)
             assert cache.get("torn") is None
+            inputs = DiskCache(tmp_path / "inputs")
+            inputs.put("artifact", _payload("artifact"))
 
             assert main(["cache", "info"]) == 0
             out = capsys.readouterr().out
-            assert "legacy" in out and "quarantined" in out
+            assert "legacy" not in out and "1 quarantined" in out
+            assert "inputs: 1 artifact(s)" in out
 
             assert main(["cache", "compact"]) == 0
             out = capsys.readouterr().out
-            assert "migrated 1 legacy" in out
-            assert list(cache.legacy_entries()) == []
+            assert "purged 1 sidecar" in out
             assert list(cache.quarantined()) == []
 
             assert main(["cache", "clear"]) == 0
             capsys.readouterr()
             assert len(cache) == 0
+            assert not flat.exists()
+            assert not (tmp_path / "inputs").exists()
         finally:
             runner.clear_run_cache()
             diskcache.set_cache_dir(previous)

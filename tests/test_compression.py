@@ -96,13 +96,6 @@ class TestCompressionBuffer:
         assert [r.base for r in out] == [0, 100, 200]
         assert len(cb) == 0
 
-    def test_clear_discards(self):
-        out = []
-        cb = CompressionBuffer(capacity=8, sink=out.append, span=8)
-        cb.observe(0)
-        cb.clear()
-        assert not out and len(cb) == 0
-
     def test_span_limits_coalescing(self):
         cb = CompressionBuffer(capacity=8, span=4)
         cb.observe(0)

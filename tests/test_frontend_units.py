@@ -72,13 +72,6 @@ class TestRAS:
         assert ras.top_entries(3) == (4, 3, 2)
         assert ras.top_entries(10) == (4, 3, 2, 1)
 
-    def test_clear(self):
-        ras = ReturnAddressStack(4)
-        ras.push(1)
-        ras.clear()
-        assert len(ras) == 0
-        assert ras.top_entries(2) == ()
-
 
 class TestITLB:
     def test_miss_then_hit(self):

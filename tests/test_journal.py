@@ -450,7 +450,7 @@ _CHILD_SCRIPT = textwrap.dedent("""
     points = [SweepPoint("mysql_sibench", pf, scale="tiny", seed=seed)
               for seed in (1, 2)
               for pf in (None, "eip", "mana", "hierarchical", "efetch")]
-    config = ServiceConfig(jobs=1, backoff_base=0.0)
+    config = ServiceConfig(jobs=int(sys.argv[1]), backoff_base=0.0)
     print("ready", flush=True)
     run_sweep(points, config, progress=None)
 """)
@@ -459,6 +459,19 @@ _CHILD_SCRIPT = textwrap.dedent("""
 class TestSigkillChaos:
     def test_sigkill_resume_bit_identical_exactly_once(
             self, cache_dir, fake_executor):
+        self._kill_then_resume(cache_dir, jobs=1)
+
+    def test_sigkill_forked_resume_exactly_once(self, cache_dir,
+                                                fake_executor):
+        # Forked: input artifacts are prepared first, and the resumed
+        # segment finds them on disk; neither is a point.
+        self._kill_then_resume(cache_dir, jobs=2)
+        events = read_run_events(list_runs()[0])
+        resumed = [e for e in events if e.get("event") == "prepared"
+                   and e.get("source") == "disk"]
+        assert resumed
+
+    def _kill_then_resume(self, cache_dir, jobs):
         pts = _points(10)
         env = dict(os.environ)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
@@ -467,7 +480,7 @@ class TestSigkillChaos:
              env.get("PYTHONPATH", "")])
         env.pop("REPRO_FAULT_PLAN", None)
         child = subprocess.Popen(
-            [sys.executable, "-c", _CHILD_SCRIPT], env=env,
+            [sys.executable, "-c", _CHILD_SCRIPT, str(jobs)], env=env,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
         try:
             # Wait for durable evidence of progress, then kill -9.
@@ -495,8 +508,9 @@ class TestSigkillChaos:
         assert interrupted["status"] is None  # killed: no end trailer
         assert interrupted["missing"], "child must not have finished"
 
-        report, journal = run_sweep(pts, _config(), progress=None,
-                                    resume=True, fault_plan=FaultPlan())
+        report, journal = run_sweep(pts, _config(jobs=jobs),
+                                    progress=None, resume=True,
+                                    fault_plan=FaultPlan())
         assert journal.run_dir == run_dir and journal.segment == 2
         # Bit-identical to an uninterrupted (serial, fault-free) run.
         ref = _ref_states(pts)

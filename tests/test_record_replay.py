@@ -111,8 +111,8 @@ class TestRecordEngine:
         eng.begin(1)
         with pytest.raises(RuntimeError):
             eng.begin(2)
-        eng.abort()
-        eng.begin(2)  # fine after abort
+        eng.end()
+        eng.begin(2)  # fine once the first record ended
 
     def test_end_without_begin_raises(self):
         eng = RecordEngine(make_buffer())

@@ -207,9 +207,9 @@ class TestDiskCacheLayer:
         assert s.simulations == 1
         assert s.cache_corrupt == 0  # stale is not corrupt
 
-    def test_legacy_unwrapped_entry_still_served(self, cache_dir):
-        # Entries written before the checksum envelope existed are a
-        # bare pickled payload; they must keep hitting.
+    def test_unwrapped_entry_quarantined(self, cache_dir):
+        # A bare pickled payload (the layout before the checksum
+        # envelope) is not a valid entry: quarantined, re-simulated.
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         (path,) = diskcache.get_cache().entries()
         path.write_bytes(pickle.dumps(_read_payload(path)))
@@ -217,8 +217,8 @@ class TestDiskCacheLayer:
         reset_run_cache_stats()
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.disk_hits == 1 and s.simulations == 0
-        assert s.cache_corrupt == 0
+        assert s.disk_hits == 0 and s.simulations == 1
+        assert s.cache_corrupt == 1
 
     def test_wrong_key_payload_ignored(self, cache_dir):
         # A digest collision (or a hand-moved file) must not serve the

@@ -193,10 +193,30 @@ class TestTraceCache:
         from repro.workloads import cache
 
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        assert cache._trace_cache_max() == 6
+        assert cache.trace_cache_max() == 6
         monkeypatch.setenv("REPRO_TRACE_CACHE", "16")
-        assert cache._trace_cache_max() == 16
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "junk")
-        assert cache._trace_cache_max() == 6
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert cache._trace_cache_max() == 1
+        assert cache.trace_cache_max() == 16
+
+    @pytest.mark.parametrize("raw", ["junk", "0", "-3", "2.5"])
+    def test_trace_cache_bound_rejects_bad_values(self, raw, monkeypatch,
+                                                  tmp_path, capsys):
+        from repro.cli import main
+        from repro.experiments import diskcache
+        from repro.experiments.errors import InvalidConfigError
+        from repro.workloads import cache
+
+        monkeypatch.setenv("REPRO_TRACE_CACHE", raw)
+        message = f"REPRO_TRACE_CACHE={raw!r}"
+        with pytest.raises(InvalidConfigError, match=message):
+            cache.trace_cache_max()
+        # repro sweep reports it and exits 2 before any point runs.
+        previous = diskcache.set_cache_dir(tmp_path)
+        try:
+            assert main(["sweep", "mysql_sibench", "--prefetchers", "eip",
+                         "--scale", "tiny"]) == 2
+        finally:
+            diskcache.set_cache_dir(previous)
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[1/" not in captured.out
+        assert not (tmp_path / "runs").exists()
